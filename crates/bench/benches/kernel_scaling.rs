@@ -339,6 +339,54 @@ fn bench_obstacle_nearest_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// Broad-phase build scaling at both pack widths: the flat grid's
+/// count, lay-out and fill passes over 10^2..10^4 obstacles — the set-up
+/// cost every generated world and every sensor subfield pays.
+fn bench_obstacle_field_build(c: &mut Criterion) {
+    use roborun_geom::SimdWidth;
+    let mut group = c.benchmark_group("obstacle_field_build");
+    for &n in &[100usize, 1_000, 10_000] {
+        let obstacles = random_obstacles(n, n as u64);
+        for &(label, width) in &[("w4", SimdWidth::W4), ("w8", SimdWidth::W8)] {
+            group.bench_with_input(BenchmarkId::new(label, n), &obstacles, |b, obstacles| {
+                b.iter(|| {
+                    std::hint::black_box(ObstacleField::with_simd_width(obstacles.clone(), width))
+                        .len()
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+/// Whole-environment generation over the quick-sweep difficulties
+/// (density {0.3, 0.6} × spread {40, 80} m, 150 m goal): the Gaussian
+/// cluster draws plus the broad-phase build, per environment.
+fn bench_environment_generate(c: &mut Criterion) {
+    let mut group = c.benchmark_group("environment_generate");
+    for &density in &[0.3, 0.6] {
+        for &spread in &[40.0, 80.0] {
+            let generator = EnvironmentGenerator::new(DifficultyConfig {
+                obstacle_density: density,
+                obstacle_spread: spread,
+                goal_distance: 150.0,
+            });
+            group.bench_with_input(
+                BenchmarkId::from_parameter(format!("d{density}_s{spread}")),
+                &generator,
+                |b, generator| {
+                    b.iter(|| {
+                        std::hint::black_box(generator.generate(7))
+                            .obstacles()
+                            .len()
+                    })
+                },
+            );
+        }
+    }
+    group.finish();
+}
+
 /// Point-index nearest-neighbor scaling: the RRT* inner query at tree
 /// sizes of 10^2..10^4 nodes.
 fn bench_point_nearest_scaling(c: &mut Criterion) {
@@ -1171,6 +1219,8 @@ criterion_group!(
     bench_export_precision,
     bench_obstacle_raycast_scaling,
     bench_obstacle_nearest_scaling,
+    bench_obstacle_field_build,
+    bench_environment_generate,
     bench_point_nearest_scaling,
     bench_rrtstar_4000_samples,
     bench_rrt_neighbor_kernel_4000,

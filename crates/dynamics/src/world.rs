@@ -90,11 +90,12 @@ impl DynamicWorld {
     /// phase being a deterministic function of the obstacle list, answers
     /// every query bit-identically to the static field).
     pub fn snapshot_field(&self, t: f64) -> ObstacleField {
-        let mut field = self.static_field.clone();
-        for (i, actor) in self.actors.iter().enumerate() {
-            field.push(Obstacle::new(ACTOR_ID_BASE + i as u32, actor.bounds_at(t)));
-        }
-        field
+        self.static_field.extended(
+            self.actors
+                .iter()
+                .enumerate()
+                .map(|(i, actor)| Obstacle::new(ACTOR_ID_BASE + i as u32, actor.bounds_at(t))),
+        )
     }
 
     /// `true` when a sphere of radius `margin` at `p` intersects any
@@ -159,14 +160,13 @@ impl DynamicWorld {
     /// [`DynamicWorld::snapshot_field`] through a [`PoseCache`]
     /// (bit-identical; see [`PoseCache`]).
     pub fn snapshot_field_cached(&self, t: f64, cache: &mut PoseCache) -> ObstacleField {
-        let mut field = self.static_field.clone();
-        for (i, actor) in self.actors.iter().enumerate() {
-            field.push(Obstacle::new(
-                ACTOR_ID_BASE + i as u32,
-                actor.bounds_at_cached(t, cache.anchor(i)),
-            ));
-        }
-        field
+        self.static_field
+            .extended(self.actors.iter().enumerate().map(|(i, actor)| {
+                Obstacle::new(
+                    ACTOR_ID_BASE + i as u32,
+                    actor.bounds_at_cached(t, cache.anchor(i)),
+                )
+            }))
     }
 
     /// [`DynamicWorld::actor_hit`] through a [`PoseCache`]

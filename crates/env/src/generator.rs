@@ -214,18 +214,19 @@ impl EnvironmentGenerator {
         let start = Vec3::new(0.0, 0.0, p.cruise_altitude);
         let goal = Vec3::new(d.goal_distance, 0.0, p.cruise_altitude);
 
-        let mut obstacles = Vec::new();
+        let spread_scale = (d.obstacle_spread / 40.0).powi(2);
+        let count_per_cluster = ((d.obstacle_density * p.obstacles_per_density * spread_scale)
+            / p.clusters_per_zone as f64)
+            .round()
+            .max(1.0) as usize;
+        let mut obstacles =
+            Vec::with_capacity(2 * p.clusters_per_zone * count_per_cluster + p.zone_b_obstacles);
         let mut next_id = 0u32;
 
         // Congested zones A and C.
         for zone in [Zone::A, Zone::C] {
             let (zone_lo, zone_hi) = layout.zone_range(zone);
             let zone_span = zone_hi - zone_lo;
-            let spread_scale = (d.obstacle_spread / 40.0).powi(2);
-            let count_per_cluster = ((d.obstacle_density * p.obstacles_per_density * spread_scale)
-                / p.clusters_per_zone as f64)
-                .round()
-                .max(1.0) as usize;
             for cluster in 0..p.clusters_per_zone {
                 let mut cluster_rng = rng.fork();
                 // Spread cluster centres across the zone.
@@ -237,10 +238,16 @@ impl EnvironmentGenerator {
                 );
                 let sigma = d.obstacle_spread * 0.5;
                 for _ in 0..count_per_cluster {
-                    let c = cluster_rng.point_around(center, Vec3::new(sigma, sigma, 0.0));
+                    // The x and y draws of `point_around(center, (σ, σ, 0))`;
+                    // its z Gaussian would be discarded (pillars stand on
+                    // the ground), so skip its two uniforms instead of
+                    // evaluating it — the stream stays where it was.
+                    let x = cluster_rng.gaussian_with(center.x, sigma);
+                    let y = cluster_rng.gaussian_with(center.y, sigma);
+                    cluster_rng.skip(2);
                     let c = Vec3::new(
-                        c.x.clamp(zone_lo, zone_hi),
-                        c.y.clamp(-p.corridor_half_width, p.corridor_half_width),
+                        x.clamp(zone_lo, zone_hi),
+                        y.clamp(-p.corridor_half_width, p.corridor_half_width),
                         0.0,
                     );
                     if c.horizontal_distance(start) < p.clearance_radius
@@ -442,6 +449,63 @@ mod tests {
             assert!(
                 o.bounds.max.z > p.cruise_altitude,
                 "pillars must exceed cruise altitude"
+            );
+        }
+    }
+
+    /// FNV-1a over the obstacle count and every obstacle's id and bound
+    /// bits: equal digests mean bit-identical obstacle lists.
+    fn bounds_digest(env: &Environment) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |word: u64| {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        eat(env.obstacles().len() as u64);
+        for o in env.obstacles() {
+            eat(u64::from(o.id));
+            for v in [o.bounds.min, o.bounds.max] {
+                eat(v.x.to_bits());
+                eat(v.y.to_bits());
+                eat(v.z.to_bits());
+            }
+        }
+        hash
+    }
+
+    /// Pins the generated obstacles of the quick-sweep difficulties
+    /// (density {0.3, 0.6} × spread {40, 80} m, 150 m goal) at three
+    /// seeds. Any change that draws from the generator's stream in a
+    /// different order, or changes an obstacle by one bit, fails here.
+    #[test]
+    fn generator_stream_is_pinned() {
+        // (density, spread, seed, obstacle count, bounds digest)
+        let pins: [(f64, f64, u64, usize, u64); 12] = [
+            (0.3, 40.0, 7, 37, 0x7c90_10bc_51cc_ca49),
+            (0.3, 40.0, 9, 39, 0xf54f_6a4a_54f9_5d93),
+            (0.3, 40.0, 1_000_010, 36, 0xf3a8_c1ea_54e8_2112),
+            (0.3, 80.0, 7, 132, 0x8c36_5a72_1d87_cdf0),
+            (0.3, 80.0, 9, 141, 0xfd68_2be8_0b4f_8b1c),
+            (0.3, 80.0, 1_000_010, 138, 0x434c_9aac_d1ed_0e24),
+            (0.6, 40.0, 7, 70, 0xb543_54e9_b0dd_9a86),
+            (0.6, 40.0, 9, 68, 0x473b_3313_0188_1253),
+            (0.6, 40.0, 1_000_010, 65, 0x206c_138c_2250_8cca),
+            (0.6, 80.0, 7, 261, 0x1095_89e2_3349_f6e4),
+            (0.6, 80.0, 9, 275, 0x4520_ecd0_9de6_c482),
+            (0.6, 80.0, 1_000_010, 267, 0x8ae3_33d0_449f_3a91),
+        ];
+        for (density, spread, seed, count, digest) in pins {
+            let cfg = DifficultyConfig {
+                obstacle_density: density,
+                obstacle_spread: spread,
+                goal_distance: 150.0,
+            };
+            let env = EnvironmentGenerator::new(cfg).generate(seed);
+            assert_eq!(
+                (env.obstacles().len(), bounds_digest(&env)),
+                (count, digest),
+                "density {density} spread {spread} seed {seed}"
             );
         }
     }

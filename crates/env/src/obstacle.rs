@@ -6,6 +6,24 @@
 //! grid is an exact accelerator — each query returns the same result as the
 //! retained `*_linear` reference scans, which the equivalence proptests in
 //! `tests/proptests.rs` enforce on random worlds.
+//!
+//! # Layout
+//!
+//! The grid is flat, in compressed-sparse-row form: one hash map from
+//! cell key to a `(start, len, pack)` range, one grid-wide `ids` array
+//! holding every cell's obstacle indices back to back, and one grid-wide
+//! array of [`Aabb4`] or [`Aabb8`] bound packs, again one run per cell.
+//! A build allocates no per-cell storage: it counts the boxes per cell,
+//! lays out the ranges, then fills them in obstacle order, so each cell
+//! lists its obstacles by ascending index.
+//!
+//! The layout has no room to grow a cell in place, so
+//! [`ObstacleField::push`] is **O(n)**: it lays the arrays out again at
+//! the current cell size. [`Extend::extend`] and
+//! [`ObstacleField::extended`] do that once for a whole batch, copying
+//! each existing cell's range and appending the new ids after it rather
+//! than bucketing the existing obstacles again. Either way the grid is
+//! exactly the one a from-scratch build at that cell size would give.
 
 use roborun_geom::index::{GridRayWalk, RingSearch, RingSearchOutcome};
 use roborun_geom::{Aabb, Aabb4, Aabb8, FxHashMap, Ray, SimdWidth, Vec3, VoxelKey};
@@ -59,7 +77,7 @@ const DEFAULT_CELL: f64 = 8.0;
 /// call wins even before vectorisation.
 const W8_TAIL_MIN_LANES: usize = 5;
 
-/// Per-cell pack storage at the width [`SimdWidth`] dispatch selected
+/// Grid-wide pack storage at the width [`SimdWidth`] dispatch selected
 /// when the broad phase was built. Both variants answer every query
 /// bit-identically (each batched lane is bit-identical to the scalar
 /// test and padding lanes are masked to misses), so width only changes
@@ -87,58 +105,66 @@ impl PackStore {
     }
 }
 
-impl Default for PackStore {
-    fn default() -> Self {
-        PackStore::new(SimdWidth::detect())
+/// One cell's run of packs, borrowed from the [`PackStore`].
+#[derive(Clone, Copy)]
+enum Packs<'a> {
+    W4(&'a [Aabb4]),
+    W8(&'a [Aabb8]),
+}
+
+/// The pack operations the grid build needs, at either width.
+trait Pack: Copy {
+    const LANES: usize;
+    fn empty() -> Self;
+    fn push(&mut self, bounds: &Aabb);
+}
+
+impl Pack for Aabb4 {
+    const LANES: usize = 4;
+    fn empty() -> Self {
+        Aabb4::empty()
+    }
+    fn push(&mut self, bounds: &Aabb) {
+        Aabb4::push(self, bounds)
     }
 }
 
-/// One broad-phase cell: the indices of the obstacles overlapping it,
-/// plus their bounds packed in struct-of-arrays slabs ([`Aabb4`] or
-/// [`Aabb8`], chosen once per grid by [`SimdWidth`] runtime dispatch) so
-/// the raycast / margin / nearest inner loops consume the packs directly
-/// — `W` branch-free lanes of contiguous `f64`s per slab test or
-/// distance, instead of `W` gathered corner structs. For lane width `W`,
-/// `packs[k]` holds the bounds of `ids[W·k .. W·k + packs[k].len()]`, in
-/// the same order, so lane `l` of pack `k` *is* obstacle `ids[W·k + l]`.
-#[derive(Debug, Clone, Default)]
-struct CellSlab {
-    ids: Vec<u32>,
-    store: PackStore,
+impl Pack for Aabb8 {
+    const LANES: usize = 8;
+    fn empty() -> Self {
+        Aabb8::empty()
+    }
+    fn push(&mut self, bounds: &Aabb) {
+        Aabb8::push(self, bounds)
+    }
 }
 
-impl CellSlab {
-    fn new(width: SimdWidth) -> Self {
-        CellSlab {
-            ids: Vec::new(),
-            store: PackStore::new(width),
-        }
-    }
+/// Where one cell sits in the grid-wide arrays: its obstacle indices are
+/// `ids[start .. start + len]` and their bounds fill the
+/// `len.div_ceil(W)` packs from `packs[pack]` on.
+#[derive(Debug, Clone, Copy)]
+struct CellRange {
+    start: u32,
+    len: u32,
+    pack: u32,
+}
 
-    fn push(&mut self, id: u32, bounds: &Aabb) {
-        match &mut self.store {
-            PackStore::W4(packs) => {
-                if self.ids.len().is_multiple_of(4) {
-                    packs.push(Aabb4::empty());
-                }
-                packs
-                    .last_mut()
-                    .expect("pack appended when lane count is a multiple of 4")
-                    .push(bounds);
-            }
-            PackStore::W8(packs) => {
-                if self.ids.len().is_multiple_of(8) {
-                    packs.push(Aabb8::empty());
-                }
-                packs
-                    .last_mut()
-                    .expect("pack appended when lane count is a multiple of 8")
-                    .push(bounds);
-            }
-        }
-        self.ids.push(id);
-    }
+/// One broad-phase cell, borrowed from the grid's flat arrays: the
+/// indices of the obstacles overlapping it, plus their bounds packed in
+/// struct-of-arrays slabs ([`Aabb4`] or [`Aabb8`], chosen once per grid
+/// by [`SimdWidth`] runtime dispatch) so the raycast / margin / nearest
+/// inner loops consume the packs directly — `W` branch-free lanes of
+/// contiguous `f64`s per slab test or distance, instead of `W` gathered
+/// corner structs. For lane width `W`, `packs[k]` holds the bounds of
+/// `ids[W·k .. W·k + packs[k].len()]`, in the same order, so lane `l` of
+/// pack `k` *is* obstacle `ids[W·k + l]`.
+#[derive(Clone, Copy)]
+struct CellSlab<'a> {
+    ids: &'a [u32],
+    packs: Packs<'a>,
+}
 
+impl CellSlab<'_> {
     /// Visits `(obstacle id, distance)` for every box in the cell,
     /// batching packs per the width policy and falling to the scalar
     /// distance for the rest. Lane order equals `ids` order and each
@@ -147,8 +173,8 @@ impl CellSlab {
     /// equivalent to the per-id scalar loop.
     #[inline]
     fn for_each_distance(&self, p: Vec3, obstacles: &[Obstacle], mut visit: impl FnMut(u32, f64)) {
-        match &self.store {
-            PackStore::W4(packs) => {
+        match self.packs {
+            Packs::W4(packs) => {
                 let full = self.ids.len() / 4;
                 for (k, pack) in packs.iter().take(full).enumerate() {
                     let d4 = pack.distance_to_point4(p);
@@ -160,7 +186,7 @@ impl CellSlab {
                     visit(i, obstacles[i as usize].bounds.distance_to_point(p));
                 }
             }
-            PackStore::W8(packs) => {
+            Packs::W8(packs) => {
                 let batched = self.w8_batched_packs();
                 for (k, pack) in packs.iter().take(batched).enumerate() {
                     let d8 = pack.distance_to_point8(p);
@@ -179,8 +205,8 @@ impl CellSlab {
     /// order-independent, so batched packs may early-exit per pack.
     #[inline]
     fn any_within(&self, p: Vec3, margin: f64, obstacles: &[Obstacle]) -> bool {
-        match &self.store {
-            PackStore::W4(packs) => {
+        match self.packs {
+            Packs::W4(packs) => {
                 let full = self.ids.len() / 4;
                 packs
                     .iter()
@@ -190,7 +216,7 @@ impl CellSlab {
                         .iter()
                         .any(|&i| obstacles[i as usize].bounds.distance_to_point(p) <= margin)
             }
-            PackStore::W8(packs) => {
+            Packs::W8(packs) => {
                 let batched = self.w8_batched_packs();
                 packs
                     .iter()
@@ -210,8 +236,8 @@ impl CellSlab {
     /// fold over this visit is equivalent to the per-id scalar loop.
     #[inline]
     fn for_each_ray_hit(&self, ray: &Ray, obstacles: &[Obstacle], mut visit: impl FnMut(u32, f64)) {
-        match &self.store {
-            PackStore::W4(packs) => {
+        match self.packs {
+            Packs::W4(packs) => {
                 let full = self.ids.len() / 4;
                 for (k, pack) in packs.iter().take(full).enumerate() {
                     let hits = ray.intersect_aabb4(pack);
@@ -227,7 +253,7 @@ impl CellSlab {
                     }
                 }
             }
-            PackStore::W8(packs) => {
+            Packs::W8(packs) => {
                 let batched = self.w8_batched_packs();
                 for (k, pack) in packs.iter().take(batched).enumerate() {
                     let hits = ray.intersect_aabb8(pack);
@@ -268,14 +294,31 @@ impl CellSlab {
     }
 }
 
+/// Calls `visit` for every key of the inclusive box `lo ..= hi`.
+#[inline]
+fn for_each_key(lo: VoxelKey, hi: VoxelKey, mut visit: impl FnMut(VoxelKey)) {
+    for x in lo.x..=hi.x {
+        for y in lo.y..=hi.y {
+            for z in lo.z..=hi.z {
+                visit(VoxelKey { x, y, z });
+            }
+        }
+    }
+}
+
 /// The uniform broad-phase grid: obstacle indices bucketed by every cell
-/// their bounds overlap, with per-cell SIMD-ready bound packs at the
-/// width selected once at build time.
+/// their bounds overlap, in one flat layout — each cell a [`CellRange`]
+/// into grid-wide `ids` and SIMD-ready bound packs, at the width
+/// selected once at build time.
 #[derive(Debug, Clone)]
 struct BroadPhase {
     cell: f64,
     width: SimdWidth,
-    cells: FxHashMap<VoxelKey, CellSlab>,
+    cells: FxHashMap<VoxelKey, CellRange>,
+    /// Every cell's obstacle indices, one contiguous run per cell.
+    ids: Vec<u32>,
+    /// Every cell's bound packs, one contiguous run per cell.
+    packs: PackStore,
     /// Key-space bounds of all inserted obstacles (valid when `cells` is
     /// non-empty).
     key_min: VoxelKey,
@@ -284,17 +327,23 @@ struct BroadPhase {
 
 impl Default for BroadPhase {
     fn default() -> Self {
-        BroadPhase {
-            cell: DEFAULT_CELL,
-            width: SimdWidth::detect(),
-            cells: FxHashMap::default(),
-            key_min: VoxelKey { x: 0, y: 0, z: 0 },
-            key_max: VoxelKey { x: 0, y: 0, z: 0 },
-        }
+        BroadPhase::empty(DEFAULT_CELL, SimdWidth::detect())
     }
 }
 
 impl BroadPhase {
+    fn empty(cell: f64, width: SimdWidth) -> Self {
+        BroadPhase {
+            cell,
+            width,
+            cells: FxHashMap::default(),
+            ids: Vec::new(),
+            packs: PackStore::new(width),
+            key_min: VoxelKey { x: 0, y: 0, z: 0 },
+            key_max: VoxelKey { x: 0, y: 0, z: 0 },
+        }
+    }
+
     /// Builds a grid for `obstacles` at the host-detected pack width,
     /// sizing cells from the mean obstacle extent so each obstacle lands
     /// in O(1) cells.
@@ -316,37 +365,117 @@ impl BroadPhase {
                 / obstacles.len() as f64;
             (2.0 * mean_extent).clamp(1.0, 64.0)
         };
-        let mut grid = BroadPhase {
-            cell,
-            width,
-            ..BroadPhase::default()
-        };
-        for (i, o) in obstacles.iter().enumerate() {
-            grid.insert(i as u32, &o.bounds);
-        }
-        grid
+        BroadPhase::empty(cell, width).merged(obstacles, 0)
     }
 
-    fn insert(&mut self, index: u32, bounds: &Aabb) {
-        let lo = VoxelKey::from_point(bounds.min, self.cell);
-        let hi = VoxelKey::from_point(bounds.max, self.cell);
-        if self.cells.is_empty() {
-            self.key_min = lo;
-            self.key_max = hi;
-        } else {
-            self.key_min = self.key_min.componentwise_min(lo);
-            self.key_max = self.key_max.componentwise_max(hi);
-        }
-        let width = self.width;
-        for x in lo.x..=hi.x {
-            for y in lo.y..=hi.y {
-                for z in lo.z..=hi.z {
-                    self.cells
-                        .entry(VoxelKey { x, y, z })
-                        .or_insert_with(|| CellSlab::new(width))
-                        .push(index, bounds);
-                }
+    /// This grid with `extra` added, the obstacle at `extra[j]` indexed
+    /// as `base + j`, at the same cell size and width. Every cell keeps
+    /// its ids and packs and then gains the extra ids in index order, so
+    /// the result is exactly the grid a from-scratch build over the
+    /// whole list would lay out at this cell size — without bucketing
+    /// the already indexed obstacles again. Three passes: count the
+    /// extra boxes per cell, lay out each cell's new range while copying
+    /// its old one, then fill in the extra ids and bounds.
+    fn merged(&self, extra: &[Obstacle], base: u32) -> BroadPhase {
+        let mut cells = self.cells.clone();
+        let (mut key_min, mut key_max) = (self.key_min, self.key_max);
+        let mut touched: Vec<Touched> = Vec::new();
+        // `[j, touched ordinal, slot among the cell's added boxes]` for
+        // every (extra box, cell) pair, in box order: the fill pass
+        // replays it without hashing a key again.
+        let mut pairs: Vec<[u32; 3]> = Vec::with_capacity(extra.len());
+        for (j, o) in extra.iter().enumerate() {
+            let lo = VoxelKey::from_point(o.bounds.min, self.cell);
+            let hi = VoxelKey::from_point(o.bounds.max, self.cell);
+            if cells.is_empty() {
+                key_min = lo;
+                key_max = hi;
+            } else {
+                key_min = key_min.componentwise_min(lo);
+                key_max = key_max.componentwise_max(hi);
             }
+            for_each_key(lo, hi, |key| {
+                let range = cells.entry(key).or_insert(CellRange {
+                    start: 0,
+                    len: 0,
+                    pack: 0,
+                });
+                if range.start != TOUCHED {
+                    touched.push(Touched {
+                        kept: *range,
+                        added: 0,
+                        fill: 0,
+                        pack: 0,
+                    });
+                    *range = CellRange {
+                        start: TOUCHED,
+                        len: 0,
+                        pack: (touched.len() - 1) as u32,
+                    };
+                }
+                let cell = &mut touched[range.pack as usize];
+                pairs.push([j as u32, range.pack, cell.added]);
+                cell.added += 1;
+            });
+        }
+        let (ids, packs) = match &self.packs {
+            PackStore::W4(old) => {
+                let (ids, packs) = lay_out_and_fill(
+                    &mut cells,
+                    &mut touched,
+                    &self.ids,
+                    old,
+                    &pairs,
+                    extra,
+                    base,
+                );
+                (ids, PackStore::W4(packs))
+            }
+            PackStore::W8(old) => {
+                let (ids, packs) = lay_out_and_fill(
+                    &mut cells,
+                    &mut touched,
+                    &self.ids,
+                    old,
+                    &pairs,
+                    extra,
+                    base,
+                );
+                (ids, PackStore::W8(packs))
+            }
+        };
+        BroadPhase {
+            cell: self.cell,
+            width: self.width,
+            cells,
+            ids,
+            packs,
+            key_min,
+            key_max,
+        }
+    }
+
+    /// The cell at `key`, if any obstacle overlaps it.
+    #[inline]
+    fn slab(&self, key: &VoxelKey) -> Option<CellSlab<'_>> {
+        self.cells.get(key).map(|range| self.view(range))
+    }
+
+    /// The cell `range` points at.
+    #[inline]
+    fn view(&self, range: &CellRange) -> CellSlab<'_> {
+        let (start, len, pack) = (
+            range.start as usize,
+            range.len as usize,
+            range.pack as usize,
+        );
+        let packs = match &self.packs {
+            PackStore::W4(packs) => Packs::W4(&packs[pack..pack + len.div_ceil(4)]),
+            PackStore::W8(packs) => Packs::W8(&packs[pack..pack + len.div_ceil(8)]),
+        };
+        CellSlab {
+            ids: &self.ids[start..start + len],
+            packs,
         }
     }
 
@@ -357,6 +486,78 @@ impl BroadPhase {
             hi.componentwise_min(self.key_max),
         )
     }
+}
+
+/// A cell a merge adds boxes to. While the merge counts, the cell's
+/// entry in the grid map is parked as `start == TOUCHED`, `pack` = the
+/// cell's ordinal in the merge's `touched` list.
+struct Touched {
+    /// The cell's range in the grid merged from (empty for a new cell).
+    kept: CellRange,
+    /// Boxes the merge adds to the cell.
+    added: u32,
+    /// Once laid out: index in the new `ids` of the first added box.
+    fill: u32,
+    /// Once laid out: index in the new packs of the cell's first pack.
+    pack: u32,
+}
+
+/// `CellRange::start` of a cell parked by a merge in progress.
+const TOUCHED: u32 = u32::MAX;
+
+/// The layout and fill passes of [`BroadPhase::merged`] at one pack
+/// width: every cell's range is copied from `old_ids` / `old_packs` into
+/// the returned arrays, followed by room for its added boxes, which
+/// `pairs` then fills in.
+fn lay_out_and_fill<P: Pack>(
+    cells: &mut FxHashMap<VoxelKey, CellRange>,
+    touched: &mut [Touched],
+    old_ids: &[u32],
+    old_packs: &[P],
+    pairs: &[[u32; 3]],
+    extra: &[Obstacle],
+    base: u32,
+) -> (Vec<u32>, Vec<P>) {
+    let lanes = P::LANES as u32;
+    let mut ids = Vec::with_capacity(old_ids.len() + pairs.len());
+    // Each cell pads at most one partial pack.
+    let mut packs = Vec::with_capacity(ids.capacity() / P::LANES + cells.len());
+    for range in cells.values_mut() {
+        let (kept, added) = if range.start == TOUCHED {
+            let cell = &touched[range.pack as usize];
+            (cell.kept, cell.added)
+        } else {
+            (*range, 0)
+        };
+        let (start, pack) = (ids.len() as u32, packs.len() as u32);
+        let (from, pack_from) = (kept.start as usize, kept.pack as usize);
+        ids.extend_from_slice(&old_ids[from..from + kept.len as usize]);
+        packs.extend_from_slice(
+            &old_packs[pack_from..pack_from + kept.len.div_ceil(lanes) as usize],
+        );
+        if range.start == TOUCHED {
+            let cell = &mut touched[range.pack as usize];
+            cell.fill = ids.len() as u32;
+            cell.pack = pack;
+            ids.resize(ids.len() + added as usize, 0);
+            packs.resize(
+                (pack + (kept.len + added).div_ceil(lanes)) as usize,
+                P::empty(),
+            );
+        }
+        *range = CellRange {
+            start,
+            len: kept.len + added,
+            pack,
+        };
+    }
+    for &[j, ordinal, slot] in pairs {
+        let cell = &touched[ordinal as usize];
+        ids[(cell.fill + slot) as usize] = base + j;
+        packs[(cell.pack + (cell.kept.len + slot) / lanes) as usize]
+            .push(&extra[j as usize].bounds);
+    }
+    (ids, packs)
 }
 
 /// A collection of static obstacles with grid-accelerated spatial queries.
@@ -449,18 +650,32 @@ impl ObstacleField {
     }
 
     /// Adds an obstacle to the field.
+    ///
+    /// O(n): the flat broad phase is laid out again at the current cell
+    /// size (see the module docs). Add many obstacles with one
+    /// [`Extend::extend`] or [`ObstacleField::extended`] call instead.
     pub fn push(&mut self, obstacle: Obstacle) {
-        let index = self.obstacles.len() as u32;
-        self.grid.insert(index, &obstacle.bounds);
-        self.obstacles.push(obstacle);
+        self.extend(std::iter::once(obstacle));
+    }
+
+    /// A copy of this field with `extra` appended, at this field's
+    /// broad-phase cell size and pack width. Equivalent to cloning the
+    /// field and extending it, but lays out the flat broad phase once,
+    /// copying each existing cell rather than bucketing its obstacles
+    /// again — the per-decision path of dynamic-world snapshots.
+    pub fn extended(&self, extra: impl IntoIterator<Item = Obstacle>) -> ObstacleField {
+        let mut obstacles = self.obstacles.clone();
+        let base = obstacles.len();
+        obstacles.extend(extra);
+        let grid = self.grid.merged(&obstacles[base..], base as u32);
+        ObstacleField { obstacles, grid }
     }
 
     /// `true` when the point lies inside any obstacle.
     pub fn is_occupied(&self, p: Vec3) -> bool {
         let key = VoxelKey::from_point(p, self.grid.cell);
         self.grid
-            .cells
-            .get(&key)
+            .slab(&key)
             .map(|slab| {
                 slab.ids
                     .iter()
@@ -482,7 +697,7 @@ impl ObstacleField {
         for x in lo.x..=hi.x {
             for y in lo.y..=hi.y {
                 for z in lo.z..=hi.z {
-                    if let Some(slab) = self.grid.cells.get(&VoxelKey { x, y, z }) {
+                    if let Some(slab) = self.grid.slab(&VoxelKey { x, y, z }) {
                         // Batched lane distances per the width policy
                         // (padding never passes), scalar for the rest.
                         if slab.any_within(p, margin, &self.obstacles) {
@@ -519,7 +734,7 @@ impl ObstacleField {
         let outcome = RingSearch::new(self.grid.cell, self.grid.key_min, self.grid.key_max)
             .with_fallback_budget(2 * self.obstacles.len())
             .run(p, None, |key| {
-                if let Some(slab) = self.grid.cells.get(&key) {
+                if let Some(slab) = self.grid.slab(&key) {
                     // Lane distances are bit-identical to the scalar
                     // `distance_to_point` and visited in `ids` order, so
                     // the tie-breaking fold below selects exactly the
@@ -575,7 +790,7 @@ impl ObstacleField {
             * (hi.y - lo.y + 1).max(0) as u128
             * (hi.z - lo.z + 1).max(0) as u128;
         if cube_cells > self.grid.cells.len() as u128 {
-            for (key, slab) in &self.grid.cells {
+            for (key, range) in &self.grid.cells {
                 if key.x >= lo.x
                     && key.x <= hi.x
                     && key.y >= lo.y
@@ -583,19 +798,15 @@ impl ObstacleField {
                     && key.z >= lo.z
                     && key.z <= hi.z
                 {
-                    out.extend(slab.ids.iter().copied());
+                    out.extend_from_slice(self.grid.view(range).ids);
                 }
             }
         } else {
-            for x in lo.x..=hi.x {
-                for y in lo.y..=hi.y {
-                    for z in lo.z..=hi.z {
-                        if let Some(slab) = self.grid.cells.get(&VoxelKey { x, y, z }) {
-                            out.extend(slab.ids.iter().copied());
-                        }
-                    }
+            for_each_key(lo, hi, |key| {
+                if let Some(slab) = self.grid.slab(&key) {
+                    out.extend_from_slice(slab.ids);
                 }
-            }
+            });
         }
         out.sort_unstable();
         out.dedup();
@@ -620,7 +831,7 @@ impl ObstacleField {
                     break;
                 }
             }
-            let Some(slab) = self.grid.cells.get(&key) else {
+            let Some(slab) = self.grid.slab(&key) else {
                 continue;
             };
             // Slab-test the cell's SoA packs batched per the width
@@ -812,11 +1023,13 @@ impl FromIterator<Obstacle> for ObstacleField {
     }
 }
 
+/// Lays out the flat broad phase once for the whole batch, at the
+/// current cell size: O(n + batch), whatever the batch size.
 impl Extend<Obstacle> for ObstacleField {
     fn extend<T: IntoIterator<Item = Obstacle>>(&mut self, iter: T) {
-        for obstacle in iter {
-            self.push(obstacle);
-        }
+        let base = self.obstacles.len();
+        self.obstacles.extend(iter);
+        self.grid = self.grid.merged(&self.obstacles[base..], base as u32);
     }
 }
 

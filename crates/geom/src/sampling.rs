@@ -10,6 +10,9 @@
 use crate::{Aabb, Vec3};
 use serde::{Deserialize, Serialize};
 
+/// The SplitMix64 state increment (2⁶⁴ divided by the golden ratio).
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// SplitMix64 pseudo-random number generator.
 ///
 /// Small, fast, and statistically good enough for procedural environment
@@ -37,11 +40,18 @@ impl SplitMix64 {
 
     /// Next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E3779B97F4A7C15);
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
         z ^ (z >> 31)
+    }
+
+    /// Advances the stream past `n` outputs in O(1): afterwards the
+    /// generator is exactly where `n` calls of [`SplitMix64::next_u64`]
+    /// would have left it.
+    pub fn skip(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(n.wrapping_mul(GOLDEN_GAMMA));
     }
 
     /// Uniform double in `[0, 1)`.
@@ -202,6 +212,20 @@ mod tests {
         let spread =
             |pts: &[Vec3]| pts.iter().map(|p| p.distance(center)).sum::<f64>() / pts.len() as f64;
         assert!(spread(&wide) > 4.0 * spread(&tight));
+    }
+
+    #[test]
+    fn skip_matches_discarded_draws() {
+        for n in [0u64, 1, 2, 7, 1000] {
+            let mut drawn = SplitMix64::new(99);
+            for _ in 0..n {
+                drawn.next_u64();
+            }
+            let mut skipped = SplitMix64::new(99);
+            skipped.skip(n);
+            assert_eq!(skipped, drawn);
+            assert_eq!(skipped.next_u64(), drawn.next_u64());
+        }
     }
 
     #[test]

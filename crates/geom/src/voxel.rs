@@ -37,9 +37,9 @@ impl VoxelKey {
             "voxel size must be positive, got {voxel_size}"
         );
         VoxelKey {
-            x: (p.x / voxel_size).floor() as i64,
-            y: (p.y / voxel_size).floor() as i64,
-            z: (p.z / voxel_size).floor() as i64,
+            x: floor_to_i64(p.x / voxel_size),
+            y: floor_to_i64(p.y / voxel_size),
+            z: floor_to_i64(p.z / voxel_size),
         }
     }
 
@@ -86,6 +86,23 @@ impl VoxelKey {
             z: self.z.max(other.z),
         }
     }
+}
+
+/// `q.floor() as i64` without the `floor` call, which baseline
+/// `x86_64` (no SSE4.1 `roundsd`) sends to libm: truncate with the
+/// saturating `as` cast, then step down when truncation rounded a
+/// negative fraction up. Equal to the reference for every `f64`: NaN
+/// maps to 0 and out-of-range values saturate. Below −2⁶³ truncation
+/// already saturates to `i64::MIN`, where the step would wrap; that
+/// branch also keeps the three axes of [`VoxelKey::from_point`] scalar,
+/// which measured faster than the auto-vectorised form.
+#[inline]
+fn floor_to_i64(q: f64) -> i64 {
+    if q < i64::MIN as f64 {
+        return i64::MIN;
+    }
+    let t = q as i64;
+    t - i64::from(t as f64 > q)
 }
 
 /// The power-of-two precision lattice `{vox_min · 2^n : 0 ≤ n < levels}`.

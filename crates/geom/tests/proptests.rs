@@ -297,3 +297,134 @@ fn adversarial_point_scenarios_match_linear_references() {
         }
     }
 }
+
+/// The reference semantics of `VoxelKey::from_point` on one axis.
+fn key_reference(v: f64, size: f64) -> i64 {
+    (v / size).floor() as i64
+}
+
+fn assert_key_matches_reference(p: Vec3, size: f64) {
+    let key = VoxelKey::from_point(p, size);
+    let want = (
+        key_reference(p.x, size),
+        key_reference(p.y, size),
+        key_reference(p.z, size),
+    );
+    assert_eq!(
+        (key.x, key.y, key.z),
+        want,
+        "p = ({:e}, {:e}, {:e}) [{:016x} {:016x} {:016x}], size = {size:e}",
+        p.x,
+        p.y,
+        p.z,
+        p.x.to_bits(),
+        p.y.to_bits(),
+        p.z.to_bits(),
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Arbitrary bit patterns: NaNs, infinities, subnormals and values
+    /// far beyond the `i64` range all come up. At size 1 the quotient is
+    /// the coordinate itself, so every pattern reaches the floor as is.
+    #[test]
+    fn voxel_key_floor_matches_reference_on_any_bits(
+        bits in (any::<u64>(), any::<u64>(), any::<u64>()),
+        size_bits in any::<u64>(),
+    ) {
+        let p = Vec3::new(f64::from_bits(bits.0), f64::from_bits(bits.1), f64::from_bits(bits.2));
+        assert_key_matches_reference(p, 1.0);
+        let size = f64::from_bits(size_bits >> 1);
+        if size > 0.0 {
+            assert_key_matches_reference(p, size);
+        }
+    }
+
+    /// Values one ulp either side of an integer quotient, where a floor
+    /// built from truncation is most likely to be off by one.
+    #[test]
+    fn voxel_key_floor_matches_reference_next_to_integers(
+        k in -1_000_000i64..1_000_000,
+        shift in 0u32..60,
+        size in voxel_sizes(),
+    ) {
+        let whole = (k as f64) * (1u64 << shift) as f64;
+        for q in [whole.next_down(), whole, whole.next_up()] {
+            assert_key_matches_reference(Vec3::new(q, -q, q * size), 1.0);
+            assert_key_matches_reference(Vec3::splat(q * size), size);
+        }
+    }
+}
+
+fn voxel_sizes() -> impl Strategy<Value = f64> {
+    (0usize..6).prop_map(|i| [0.1, 0.3, 0.5, 1.0, 8.0, 64.0][i])
+}
+
+/// The special values the bit-pattern property may or may not draw.
+#[test]
+fn voxel_key_floor_matches_reference_on_special_values() {
+    let two63 = 9_223_372_036_854_775_808.0_f64;
+    let mut values = vec![
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7ff0_0000_0000_0001),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        f64::from_bits(1),
+        -f64::from_bits(1),
+        f64::MIN_POSITIVE.next_down(),
+        -f64::MIN_POSITIVE.next_down(),
+        f64::MAX,
+        f64::MIN,
+        two63,
+        -two63,
+        two63.next_down(),
+        -two63.next_down(),
+        two63.next_up(),
+        -two63.next_up(),
+        2.0 * two63,
+        -2.0 * two63,
+        i64::MAX as f64,
+        i64::MIN as f64,
+        4_503_599_627_370_496.0, // 2^52: the last binade with fractions
+        9_007_199_254_740_992.0, // 2^53
+        0.5,
+        -0.5,
+        0.999_999_999_999_999_9,
+        1e300,
+        -1e300,
+    ];
+    for whole in [
+        -3.0,
+        -2.0,
+        -1.0,
+        1.0,
+        2.0,
+        3.0,
+        1e6,
+        -1e6,
+        4_503_599_627_370_496.0,
+    ] {
+        values.push(f64::next_down(whole));
+        values.push(f64::next_up(whole));
+    }
+    for &v in &values {
+        for size in [
+            1.0,
+            0.3,
+            8.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::MAX,
+            f64::INFINITY,
+        ] {
+            assert_key_matches_reference(Vec3::new(v, -v, v), size);
+        }
+    }
+}
