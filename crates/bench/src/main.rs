@@ -928,239 +928,58 @@ fn bench9() {
     println!("\nwrote {path}\n");
 }
 
-/// Cross-decision planner reuse campaign: the cold-vs-warm synchronous
-/// replan ladder across map-delta sizes on the lane-heavy wall fixture,
-/// informed-sampling samples-to-near-optimal, scratch-reuse allocation
-/// counts, a mission-level CrossingCorridor row with `planner_reuse`
-/// off vs on, and the peer-hazard scaling row shared with BENCH_7/8/9.
-/// Emits `BENCH_10.json`.
+/// Planner scratch campaign: steady-state allocation of one reused
+/// [`roborun_planning::PlannerScratch`] over repeated plans on the
+/// gap-wall fixture, plus the peer-hazard scaling row shared with
+/// BENCH_7/8/9. Emits `BENCH_10.json` under the same JSON paths as the
+/// committed record; `experiments trajectory` gates the shared
+/// `peer_hazard_query` rows.
 fn bench10() {
-    use roborun_geom::{percentile, Aabb, Vec3};
-    use roborun_mission::DynamicScenario;
+    use roborun_geom::{Aabb, Vec3};
     use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
-    use roborun_planning::{CollisionChecker, PlannerScratch, RrtConfig, RrtStar, WarmStart};
-    use std::time::Instant;
+    use roborun_planning::{CollisionChecker, PlannerScratch, RrtConfig, RrtStar};
 
-    println!("## Bench 10 — cross-decision planner reuse: warm trees, informed sampling\n");
+    println!("## Bench 10 — planner scratch reuse\n");
     let cores = roborun_trace::host_cores();
     println!("(host has {cores} core(s) available)\n");
 
     // The long-corridor gap-wall fixture shared with BENCH_8's batch
     // rows: a wall at x = 20 with one gap at y in [6, 10], goal 140 m
-    // out, voxel 0.5. Cold searches pay a real cost to thread the gap
-    // and cover the corridor; a warm tree already did both. Delta blocks
-    // grow south of the corridor so small deltas leave most of the
-    // retained tree valid.
+    // out, voxel 0.5.
     let origin = Vec3::new(0.0, 0.0, 5.0);
     let voxel = 0.5;
-    let wall_points = || {
-        let mut points = Vec::new();
-        for yi in -120..=120 {
-            let y = yi as f64 * voxel;
-            if (6.0..=10.0).contains(&y) {
-                continue;
-            }
-            for zi in 0..30 {
-                points.push(Vec3::new(20.0, y, zi as f64 * voxel));
-            }
+    let mut points = Vec::new();
+    for yi in -120..=120 {
+        let y = yi as f64 * voxel;
+        if (6.0..=10.0).contains(&y) {
+            continue;
         }
-        points
-    };
-    let export = |points: Vec<Vec3>| {
-        let mut map = OccupancyMap::new(voxel);
-        map.integrate_cloud(&PointCloud::new(origin, points), 1.0);
-        PlannerMap::export(&map, &ExportConfig::new(voxel, 1e9, origin))
-    };
-    let base = export(wall_points());
+        for zi in 0..30 {
+            points.push(Vec3::new(20.0, y, zi as f64 * voxel));
+        }
+    }
+    let mut map = OccupancyMap::new(voxel);
+    map.integrate_cloud(&PointCloud::new(origin, points), 1.0);
+    let base = PlannerMap::export(&map, &ExportConfig::new(voxel, 1e9, origin));
     let start = Vec3::new(0.0, 0.0, 5.0);
     let goal = Vec3::new(140.0, 0.0, 5.0);
     let bounds = Aabb::new(Vec3::new(-5.0, -75.0, 1.0), Vec3::new(155.0, 75.0, 28.0));
-    // The decision-to-decision start: one epoch of progress into the
-    // corridor, exactly what a synchronous replan sees mid-mission.
-    let next_start = Vec3::new(4.0, 0.5, 5.0);
-    let delta_points = |count: usize| {
-        let mut points = wall_points();
-        for i in 0..count {
-            points.push(Vec3::new(
-                60.0 + (i % 8) as f64 * voxel,
-                -12.0 + ((i / 8) % 8) as f64 * voxel,
-                2.0 + (i / 64) as f64 * voxel,
-            ));
-        }
-        points
-    };
-    // The two synchronous-replan configurations the mission actually
-    // runs: reuse off (the pre-reuse planner, which spends its whole
-    // sample budget refining) versus reuse on (warm-started tree,
-    // informed refinement, bounded post-solution budget).
-    let max_samples = 6_000;
-    let cold_cfg = |seed: u64| RrtConfig {
-        seed,
-        max_samples,
-        ..RrtConfig::default()
-    };
-    let reuse_cfg = |seed: u64| RrtConfig {
-        seed,
-        max_samples,
-        warm_start: true,
-        informed_sampling: true,
-        refine_samples: 512,
-        ..RrtConfig::default()
-    };
-    let margin = 0.45;
-    let check_step = 0.5;
-
-    // --- Cold-vs-warm synchronous replan ladder across delta sizes ----
-    // Per seed: grow a tree on the base export (untimed), patch the
-    // checker to the delta'd export, then time the replan from the
-    // advanced start — once warm (rebasing the retained tree against the
-    // delta boxes) and once cold (same config, empty scratch).
-    let seeds = 10u64;
-    let ladder = [0usize, 8, 32, 128, 512];
-    let mut ladder_rows = Vec::new();
-    for &added in &ladder {
-        let map2 = export(delta_points(added));
-        let delta = map2.delta_from(&base).expect("same voxel size");
-        let mut added_boxes = Vec::new();
-        CollisionChecker::added_boxes_into(&delta, &mut added_boxes);
-        let mut cold_ms = Vec::new();
-        let mut warm_ms = Vec::new();
-        let mut retained = 0usize;
-        let mut pruned = 0usize;
-        let mut warm_found = 0usize;
-        let mut cost_ratio = 0.0f64;
-        for seed in 0..seeds {
-            // Warm: build the tree on the base export, patch, replan.
-            let planner = RrtStar::new(reuse_cfg(seed));
-            let mut scratch = PlannerScratch::new();
-            let mut checker = CollisionChecker::new(base.clone(), margin, check_step);
-            let first =
-                planner.plan_with_scratch(&mut checker, start, goal, &bounds, &mut scratch, None);
-            assert!(first.found(), "base fixture must be solvable");
-            checker.update_map(map2.clone());
-            let warm = WarmStart {
-                added_boxes: &added_boxes,
-                added_clearance: margin,
-                hazard_boxes: &[],
-                hazard_clearance: 0.0,
-                sample_step: check_step,
-            };
-            let wall = Instant::now();
-            let rewarmed = planner.plan_with_scratch(
-                &mut checker,
-                next_start,
-                goal,
-                &bounds,
-                &mut scratch,
-                Some(&warm),
-            );
-            warm_ms.push(wall.elapsed().as_secs_f64() * 1e3);
-            retained += rewarmed.retained_nodes;
-            pruned += rewarmed.pruned_nodes;
-            warm_found += usize::from(rewarmed.found());
-            // Cold: the reuse-off configuration on the same patched
-            // checker — what every synchronous replan paid before.
-            let cold_planner = RrtStar::new(cold_cfg(seed));
-            let mut cold_scratch = PlannerScratch::new();
-            let wall = Instant::now();
-            let cold = cold_planner.plan_with_scratch(
-                &mut checker,
-                next_start,
-                goal,
-                &bounds,
-                &mut cold_scratch,
-                None,
-            );
-            cold_ms.push(wall.elapsed().as_secs_f64() * 1e3);
-            assert!(cold.found(), "cold replan must be solvable");
-            cost_ratio += rewarmed.cost / cold.cost;
-        }
-        let cold_median = percentile(&cold_ms, 0.5).expect("non-empty");
-        let warm_median = percentile(&warm_ms, 0.5).expect("non-empty");
-        let speedup = cold_median / warm_median.max(1e-9);
-        let retained_mean = retained as f64 / seeds as f64;
-        let pruned_mean = pruned as f64 / seeds as f64;
-        let cost_ratio = cost_ratio / seeds as f64;
-        println!(
-            "replan    +{added:>3} voxels  cold {cold_median:>7.2} ms  warm {warm_median:>7.2} ms \
-             ({speedup:>5.1}x)  retained {retained_mean:>6.1}  pruned {pruned_mean:>5.1}  \
-             cost x{cost_ratio:.3}  found {warm_found}/{seeds}"
-        );
-        ladder_rows.push((
-            added,
-            cold_median,
-            warm_median,
-            speedup,
-            retained_mean,
-            pruned_mean,
-            cost_ratio,
-        ));
-    }
-    // The headline number the roadmap quotes: the median speedup over
-    // the small-delta rungs (a handful of voxels changed per decision).
-    let small: Vec<f64> = ladder_rows
-        .iter()
-        .filter(|(added, ..)| *added <= 32)
-        .map(|&(_, _, _, speedup, _, _, _)| speedup)
-        .collect();
-    let small_delta_speedup = percentile(&small, 0.5).expect("non-empty ladder");
-    println!("replan    small-delta (<= 32 voxels) median speedup {small_delta_speedup:.1}x\n");
-
-    // --- Informed sampling: samples to a near-optimal solution --------
-    // The spheroid only engages after the first solution, so the metric
-    // is the smallest max_samples rung whose cost lands within 5% of the
-    // best known cost for the seed (informed at the top rung).
-    let informed_ladder = [100usize, 200, 400, 800, 1600, 3200, 6400];
-    let run_informed = |seed: u64, informed: bool, max_samples: usize| {
-        let planner = RrtStar::new(RrtConfig {
-            seed,
-            max_samples,
-            informed_sampling: informed,
-            ..RrtConfig::default()
-        });
-        let mut checker = CollisionChecker::new(base.clone(), margin, check_step);
-        planner.plan(&mut checker, start, goal, &bounds)
-    };
-    let mut informed_rows = Vec::new();
-    for informed in [false, true] {
-        let mut to_near_optimal = 0usize;
-        let mut rejections = 0usize;
-        for seed in 0..seeds {
-            let best = run_informed(seed, true, *informed_ladder.last().unwrap()).cost;
-            assert!(best.is_finite(), "top rung must solve the fixture");
-            to_near_optimal += informed_ladder
-                .iter()
-                .copied()
-                .find(|&n| {
-                    let result = run_informed(seed, informed, n);
-                    result.found() && result.cost <= best * 1.05
-                })
-                .unwrap_or(*informed_ladder.last().unwrap());
-            rejections += run_informed(seed, informed, 2_000).informed_rejections;
-        }
-        let mean = to_near_optimal as f64 / seeds as f64;
-        let mean_rejections = rejections as f64 / seeds as f64;
-        let label = if informed { "informed" } else { "uniform" };
-        println!(
-            "informed  {label:<8} {mean:>6.0} samples to within 5% of best \
-             ({mean_rejections:.0} spheroid rejections @2000)"
-        );
-        informed_rows.push((label, mean, mean_rejections));
-    }
-    let informed_reduction = informed_rows[0].1 / informed_rows[1].1.max(1e-9);
-    println!("informed  reaches near-optimal in {informed_reduction:.1}x fewer samples\n");
 
     // --- Scratch reuse: steady-state allocation -----------------------
     // Repeated plans against one scratch: every buffer reaches capacity
     // during warm-up, after which grow_events stays flat (the zero-
-    // steady-state-allocation contract the proptests lock).
+    // steady-state-allocation contract the planner tests lock).
     let mut scratch = PlannerScratch::new();
-    let mut checker = CollisionChecker::new(base.clone(), margin, check_step);
+    let mut checker = CollisionChecker::new(base, 0.45, 0.5);
     let reps = 12u64;
     let mut warmup_grow = 0u64;
     for seed in 0..reps {
-        let planner = RrtStar::new(reuse_cfg(seed));
-        let _ = planner.plan_with_scratch(&mut checker, start, goal, &bounds, &mut scratch, None);
+        let planner = RrtStar::new(RrtConfig {
+            seed,
+            max_samples: 6_000,
+            ..RrtConfig::default()
+        });
+        let _ = planner.plan_with_scratch(&mut checker, start, goal, &bounds, &mut scratch);
         if seed == 0 {
             warmup_grow = scratch.grow_events();
         }
@@ -1171,31 +990,6 @@ fn bench10() {
         "scratch   {reps} plans: {warmup_grow} grow event(s) on the first, \
          {steady_grow} over the remaining {}  (footprint {footprint} elems)\n",
         reps - 1
-    );
-
-    // --- Mission-level row: planner_reuse off vs on -------------------
-    let mission_env = DynamicScenario::CrossingCorridor.world(41).0;
-    let mission = |reuse: bool| {
-        let cfg = MissionConfig {
-            max_decisions: 600,
-            max_mission_time: 1_500.0,
-            planner_reuse: reuse,
-            ..MissionConfig::new(RuntimeMode::SpatialAware)
-        };
-        let wall = Instant::now();
-        let result = MissionRunner::new(cfg).run(&mission_env);
-        (wall.elapsed().as_secs_f64(), result.metrics)
-    };
-    let (off_seconds, off_metrics) = mission(false);
-    let (on_seconds, on_metrics) = mission(true);
-    assert!(off_metrics.reached_goal && on_metrics.reached_goal);
-    println!(
-        "mission   reuse off {off_seconds:.2} s ({} decisions)   reuse on {on_seconds:.2} s \
-         ({} decisions, {} warm replans, {} nodes retained)\n",
-        off_metrics.decisions,
-        on_metrics.decisions,
-        on_metrics.warm_replans,
-        on_metrics.planner_nodes_retained
     );
 
     // --- The shared scaling row for the BENCH trajectory diff ---------
@@ -1210,48 +1004,9 @@ fn bench10() {
     let mut w = roborun_trace::JsonWriter::new();
     w.begin_object();
     w.key("bench");
-    w.string("planner_reuse");
+    w.string("planner_scratch");
     w.key("host_cores");
     w.uint(cores as u64);
-    w.key("warm_replan_ladder");
-    w.begin_array();
-    for (added, cold_median, warm_median, speedup, retained_mean, pruned_mean, cost_ratio) in
-        &ladder_rows
-    {
-        w.begin_inline_object();
-        w.key("added_voxels");
-        w.uint(*added as u64);
-        w.key("cold_ms");
-        w.float(*cold_median, 3);
-        w.key("warm_ms");
-        w.float(*warm_median, 3);
-        w.key("speedup");
-        w.float(*speedup, 2);
-        w.key("retained_mean");
-        w.float(*retained_mean, 1);
-        w.key("pruned_mean");
-        w.float(*pruned_mean, 1);
-        w.key("cost_ratio");
-        w.float(*cost_ratio, 4);
-        w.end();
-    }
-    w.end();
-    w.key("small_delta_speedup");
-    w.float(small_delta_speedup, 2);
-    w.key("informed_sampling");
-    w.begin_object();
-    for (label, mean, rejections) in &informed_rows {
-        w.key(label);
-        w.begin_inline_object();
-        w.key("samples_to_near_optimal");
-        w.float(*mean, 1);
-        w.key("spheroid_rejections_at_2000");
-        w.float(*rejections, 1);
-        w.end();
-    }
-    w.key("sample_reduction");
-    w.float(informed_reduction, 2);
-    w.end();
     w.key("scratch_reuse");
     w.begin_inline_object();
     w.key("plans");
@@ -1262,23 +1017,6 @@ fn bench10() {
     w.uint(steady_grow);
     w.key("footprint_elems");
     w.uint(footprint as u64);
-    w.end();
-    w.key("mission_reuse");
-    w.begin_inline_object();
-    w.key("off_seconds");
-    w.float(off_seconds, 3);
-    w.key("on_seconds");
-    w.float(on_seconds, 3);
-    w.key("off_decisions");
-    w.uint(off_metrics.decisions as u64);
-    w.key("on_decisions");
-    w.uint(on_metrics.decisions as u64);
-    w.key("warm_replans");
-    w.uint(on_metrics.warm_replans as u64);
-    w.key("nodes_retained");
-    w.uint(on_metrics.planner_nodes_retained as u64);
-    w.key("nodes_pruned");
-    w.uint(on_metrics.planner_nodes_pruned as u64);
     w.end();
     write_peer_hazard_rows(&mut w, &peer_rows);
     w.end();

@@ -69,13 +69,13 @@ pub struct MissionMetrics {
     /// 1 when the mission ended in a deliberate wedge-retreat safe-stop
     /// (the bottom of the degradation ladder), else 0.
     pub safe_stops: usize,
-    /// Synchronous replans that reused (rebased) the previous decision's
-    /// RRT* tree instead of cold-starting (requires `planner_reuse`).
+    /// Always zero: the planner no longer carries search trees across
+    /// decisions. Kept only because the mission benchmark still reports
+    /// it; a later benchmark change drops it.
     pub warm_replans: usize,
-    /// Total tree nodes carried across decisions by warm-started replans.
+    /// Always zero, like [`MissionMetrics::warm_replans`].
     pub planner_nodes_retained: usize,
-    /// Total tree nodes discarded during warm-start rebase (invalidated by
-    /// map deltas, hazards, or unreachable from the new root).
+    /// Always zero, like [`MissionMetrics::warm_replans`].
     pub planner_nodes_pruned: usize,
 }
 

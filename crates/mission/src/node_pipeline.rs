@@ -49,8 +49,8 @@ use roborun_middleware::{
 };
 use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
 use roborun_planning::{
-    swept_polyline_boxes, CollisionChecker, PlanError, PlanStats, PredictedHazards, Trajectory,
-    WarmStart,
+    swept_polyline_boxes, CollisionChecker, PlanError, PlanStats, PlannerScratch, PredictedHazards,
+    Trajectory,
 };
 use roborun_sim::{CameraRig, DroneState, SimClock, StoppingModel};
 use serde::{Deserialize, Serialize};
@@ -525,11 +525,6 @@ struct PlanningNode {
     /// Bias a share of RRT* proposals toward hazard gap regions (see
     /// [`crate::MissionConfig::hazard_biased_sampling`]).
     hazard_biased_sampling: bool,
-    /// Cross-decision planner reuse (see
-    /// [`crate::MissionConfig::planner_reuse`]): synchronous replans
-    /// warm-start from the retained tree in `reuse` and keep the
-    /// long-lived checker alive even without plan-ahead.
-    planner_reuse: bool,
     stopping: StoppingModel,
     map_sub: Subscription<PlannerMapMsg>,
     policy_sub: Subscription<PolicyMsg>,
@@ -555,10 +550,9 @@ struct PlanningNode {
     /// decision's predicted boxes (incremental patch) — the node's half
     /// of the composed hazard context, mirroring the direct driver's.
     hazards: PredictedHazards,
-    /// Warm-start bookkeeping: the retained RRT* tree, its export
-    /// snapshot, and the reusable delta-box buffer (mirrors the direct
-    /// driver's per-mission [`cycle::PlanReuse`]).
-    reuse: cycle::PlanReuse,
+    /// The RRT* search buffers reused by the long-lived-checker plans
+    /// (mirrors the direct driver's per-mission scratch).
+    scratch: PlannerScratch,
     /// The in-flight speculation's snapshot metadata.
     pending: Option<PendingNodeSpeculation>,
     /// The joined-and-validated verdict for this decision's planning spin.
@@ -607,7 +601,6 @@ impl PlanningNode {
             plan_ahead: config.plan_ahead,
             predicted_costmap: config.predicted_costmap,
             hazard_biased_sampling: config.hazard_biased_sampling,
-            planner_reuse: config.planner_reuse,
             stopping: StoppingModel::paper_default(),
             map_sub: node
                 .subscribe("/perception/planner_map", QosProfile::reliable(2))
@@ -643,7 +636,7 @@ impl PlanningNode {
             emergency_stop: false,
             collision: None,
             hazards: PredictedHazards::new(Vec::new(), margin * 0.6, Vec3::ZERO, 0.0),
-            reuse: cycle::PlanReuse::new(),
+            scratch: PlannerScratch::new(),
             pending: None,
             speculative: None,
             stats: PlanAheadStats::default(),
@@ -1020,25 +1013,21 @@ impl PlanningNode {
         let knobs = policy.knobs;
         let local_goal = self.local_goal(env, map, odom.position);
         let bounds = planning_bounds(odom.position, local_goal, env.bounds());
-        let planner = cycle::planner_for_with_reuse(
+        let planner = cycle::planner_for(
             self.seed_base,
             self.decisions,
             &knobs,
             self.margin,
             cycle::sampling_mix_for(self.hazard_biased_sampling),
-            self.planner_reuse,
         );
         let cruise = commanded_velocity.max(0.5);
         // Plan-ahead (and the predicted costmap) keep one checker across
         // the mission — patched from the export delta, snapshot-cloned
         // into speculation requests — and the costmap composes it with
         // the predicted boxes so the search routes around lanes in one
-        // shot. Cross-decision reuse rides the same long-lived checker:
-        // the retained tree is rebased against the export delta and the
-        // scratch buffers persist across decisions. Without any of the
-        // three features the node plans exactly as before (a fresh
-        // checker per plan), keeping the default path untouched.
-        let outcome = if self.plan_ahead || self.predicted_costmap || self.planner_reuse {
+        // shot. Without either feature the default path plans against a
+        // fresh checker each time.
+        let outcome = if self.plan_ahead || self.predicted_costmap {
             let check_step = cycle::planning_check_step(&knobs);
             match self.collision.as_mut() {
                 Some(checker) => {
@@ -1051,23 +1040,7 @@ impl PlanningNode {
                 }
             }
             let one_shot = self.predicted_costmap && !self.hazards.is_empty() && !in_danger;
-            // Escape plans (start inside predicted occupancy) never warm
-            // start: the hazard-pruned retained tree does not apply.
-            let warm_ready = !in_danger && self.reuse.prepare_warm(self.planner_reuse, map);
-            let epoch_before = self.reuse.scratch.tree_epoch();
-            let cycle::PlanReuse {
-                scratch,
-                added_boxes,
-                ..
-            } = &mut self.reuse;
-            let warm = warm_ready.then(|| WarmStart {
-                added_boxes,
-                added_clearance: self.margin,
-                hazard_boxes: self.hazards.boxes(),
-                hazard_clearance: self.hazards.clearance(),
-                sample_step: check_step,
-            });
-            let outcome = cycle::plan_through_hazards(
+            cycle::plan_through_hazards(
                 &planner,
                 self.collision.as_mut().expect("checker just initialised"),
                 &self.hazards,
@@ -1076,14 +1049,8 @@ impl PlanningNode {
                 local_goal,
                 &bounds,
                 cruise,
-                scratch,
-                warm.as_ref(),
-            );
-            self.reuse.after_plan(self.planner_reuse, epoch_before, map);
-            if let Ok((_, stats)) = &outcome {
-                self.reuse.stats.record(stats);
-            }
-            outcome
+                &mut self.scratch,
+            )
         } else {
             planner.plan(map, odom.position, local_goal, &bounds, cruise)
         };
@@ -1662,7 +1629,6 @@ impl NodePipeline {
                 predicted_invalidations: planning.predicted_invalidations,
             },
             &degradation_stats,
-            &planning.reuse.stats,
         );
         let graph = GraphInfo::snapshot(&bus);
         NodePipelineResult {

@@ -446,22 +446,6 @@ impl CollisionChecker {
         !map.is_occupied(p, margin)
     }
 
-    /// Fills `out` with one obstacle box per voxel key the delta *added*
-    /// (the same boxes [`CollisionChecker::path_clear_of_added`] checks
-    /// against). This is the prune set handed to the planner's warm-start
-    /// rebase — see `roborun-planning`'s `rrtstar` module docs.
-    pub fn added_boxes_into(delta: &PlannerMapDelta, out: &mut Vec<Aabb>) {
-        out.clear();
-        let voxel = delta.voxel_size();
-        let half = Vec3::splat(voxel * 0.5);
-        out.extend(
-            delta
-                .added()
-                .iter()
-                .map(|key| Aabb::from_center_half_extents(key.center(voxel), half)),
-        );
-    }
-
     /// Incremental re-validation of a path planned against an older
     /// export: `true` when the polyline through `points` stays strictly
     /// more than `clearance` away from every voxel the `delta` **added**,

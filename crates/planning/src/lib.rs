@@ -41,6 +41,6 @@ pub use hazard::{
     HazardSource, PeerTrajectoryHazard, PredictedHazards,
 };
 pub use planner::{PlanError, PlanStats, Planner, PlannerConfig};
-pub use rrtstar::{PlannerScratch, RrtConfig, RrtResult, RrtStar, SamplingMix, WarmStart};
+pub use rrtstar::{PlannerScratch, RrtConfig, RrtResult, RrtStar, SamplingMix};
 pub use smoothing::{smooth_path, SmoothingConfig};
 pub use trajectory::{Trajectory, TrajectoryPoint};

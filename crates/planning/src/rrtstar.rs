@@ -51,44 +51,16 @@
 //! results are bit-identical to `batch_size = 1` — enforced by the
 //! batch-equivalence tests.
 //!
-//! # Warm-started replans: the rebase / prune / repair contract
+//! # The planner scratch
 //!
-//! A replanning mission throws away a tree that is mostly still valid:
-//! between two decisions the map changes by a handful of *added* voxels
-//! (removed voxels only free space) and the start advances a few metres
-//! along the committed path. [`RrtConfig::warm_start`] (off by default)
-//! keeps the previous search tree alive in a caller-owned
-//! [`PlannerScratch`] and, on the next [`RrtStar::plan_with_scratch`]
-//! call with a [`WarmStart`] delta, recycles it in three steps:
-//!
-//! 1. **Rebase** — the retained node nearest the new start becomes the
-//!    anchor; if it sits within `2 × steer_length` and the start→anchor
-//!    edge is free under the *current* checker, the tree is re-rooted at
-//!    the new start. Otherwise the plan cold-starts (bit-identical to a
-//!    fresh search).
-//! 2. **Prune** — every retained edge is sampled at the caller's
-//!    collision step against the decision's *added* voxel boxes and the
-//!    retargeted hazard boxes (the same delta-validation contract as
-//!    `CollisionChecker::path_clear_of_added`); invalidated edges are
-//!    cut, and subtrees no longer connected to the new root are dropped
-//!    with them.
-//! 3. **Repair** — a traversal from the anchor over the surviving edges
-//!    reassigns parents and recomputes costs from the new root
-//!    (cascading cost repair for every orphan-adjacent subtree; later
-//!    rewiring restores asymptotic optimality incrementally).
-//!
-//! The search then continues with the normal sample budget; retained
-//! nodes within goal tolerance seed the best-solution bound immediately,
-//! so [`RrtConfig::informed_sampling`] and [`RrtConfig::refine_samples`]
-//! engage from sample zero. Interaction with plan-ahead snapshots: the
-//! mission layer records the export the retained tree was built against
-//! and hands this planner only the *delta* between that snapshot and the
-//! fresh export — exactly the speculation-validation contract — so a
-//! worker's speculative plans (which run against their own scratch,
-//! always cold) never share tree state with the synchronous path. With
-//! `warm_start` off — or with no usable anchor — nothing is reused and
-//! the RNG stream, collision-query stream and result bits are identical
-//! to the cold planner.
+//! Every buffer a search needs — the node arena, the spatial index and
+//! the near-set / target / gap-region / linear-reference buffers — lives
+//! in a caller-owned [`PlannerScratch`] and is `clear()`-reused by
+//! [`RrtStar::plan_with_scratch`], so a replanning mission allocates
+//! nothing per decision once the buffers reach steady-state capacity.
+//! The reuse is allocation-only: every search starts from a fresh root,
+//! and the RNG stream, collision-query stream and result bits are
+//! identical to [`RrtStar::plan`] on a new scratch.
 
 use crate::hazard::HazardSource;
 use roborun_geom::{Aabb, PointGridIndex, SplitMix64, Vec3};
@@ -207,31 +179,6 @@ pub struct RrtConfig {
     /// docs), so this is a pure throughput knob for 16k+-sample
     /// searches.
     pub batch_size: usize,
-    /// Opt-in cross-plan tree recycling (see the module docs' rebase /
-    /// prune / repair contract). Only takes effect on
-    /// [`RrtStar::plan_with_scratch`] calls that pass a [`WarmStart`]
-    /// delta and a scratch holding a retained tree; off (the default) the
-    /// planner cold-starts every search, bit-identical to the pre-reuse
-    /// planner.
-    pub warm_start: bool,
-    /// Opt-in informed sampling: once a solution exists, non-goal draws
-    /// falling outside the prolate spheroid `|p−start| + |p−goal| ≤
-    /// c_best` are redrawn (bounded retries, so a spheroid thinner than
-    /// the proposal regions degrades gracefully to the plain mix). The
-    /// rejection *composes* with the [`SamplingMix`] regions — a kept
-    /// draw is one the mix proposed *and* the spheroid admits. Off by
-    /// default: rejection consumes extra RNG draws, so this is a
-    /// behaviour change wherever a solution is found before the budget
-    /// runs out.
-    pub informed_sampling: bool,
-    /// Opt-in anytime cutoff: stop the search this many samples after
-    /// the first solution is known (a warm-retained solution counts as
-    /// known at sample zero). `0` (the default) keeps the classic
-    /// run-to-budget behaviour. This is the knob that converts a
-    /// recycled tree into replan *latency*: a warm tree that still
-    /// reaches the goal pays only the refine budget instead of the full
-    /// `max_samples`.
-    pub refine_samples: usize,
     /// Random seed (explicit for reproducibility).
     pub seed: u64,
 }
@@ -248,9 +195,6 @@ impl Default for RrtConfig {
             shrinking_rewire: false,
             sampling_mix: SamplingMix::default(),
             batch_size: 1,
-            warm_start: false,
-            informed_sampling: false,
-            refine_samples: 0,
             seed: 1,
         }
     }
@@ -322,19 +266,6 @@ pub struct RrtResult {
     pub rewires: usize,
     /// Number of batched search rounds the sampler executed.
     pub batch_rounds: usize,
-    /// Nodes recycled from the previous plan's tree (including the new
-    /// root); zero on a cold start.
-    pub retained_nodes: usize,
-    /// Previous-tree nodes dropped by the warm-start prune (edges cut by
-    /// added voxels / hazards, plus subtrees disconnected from the new
-    /// root); zero on a cold start.
-    pub pruned_nodes: usize,
-    /// `true` when this search continued a recycled tree instead of
-    /// cold-starting.
-    pub rebased: bool,
-    /// Draws rejected by the informed-sampling spheroid (each costs one
-    /// extra RNG draw; zero with [`RrtConfig::informed_sampling`] off).
-    pub informed_rejections: usize,
 }
 
 impl RrtResult {
@@ -604,46 +535,12 @@ impl PlanParams {
     }
 }
 
-/// Rebase anchor radius as a multiple of the steer length: a retained
-/// node further than this from the new start cannot be trusted as the
-/// tree's new attachment point (the mission has drifted too far), so the
-/// plan cold-starts instead.
-const REBASE_RADIUS_FACTOR: f64 = 2.0;
-
-/// Bounded informed-sampling redraws per target. When the spheroid clips
-/// to (almost) nothing against the proposal regions, the last draw is
-/// accepted anyway — the graceful fallback to the plain mix.
-const INFORMED_MAX_REDRAWS: usize = 16;
-
-/// The decision delta a warm-started plan prunes the retained tree
-/// against — mirroring `CollisionChecker::path_clear_of_added`: only
-/// *added* voxels can invalidate a previously valid edge (removed voxels
-/// only free space), plus the retargeted hazard/peer boxes of the new
-/// decision.
-#[derive(Debug, Clone, Copy)]
-pub struct WarmStart<'a> {
-    /// Voxel boxes added since the retained tree's snapshot.
-    pub added_boxes: &'a [Aabb],
-    /// Clearance for the added-box prune (the checker's margin, so a
-    /// pruned-clear edge is exactly one `segment_free` would accept).
-    pub added_clearance: f64,
-    /// The decision's retargeted predicted-hazard / peer-corridor boxes.
-    pub hazard_boxes: &'a [Aabb],
-    /// Clearance for the hazard-box prune (the hazard source's soft
-    /// standoff).
-    pub hazard_clearance: f64,
-    /// Edge sampling step (the planning-precision collision step).
-    pub sample_step: f64,
-}
-
 /// Caller-owned scratch for [`RrtStar::plan_with_scratch`]: every
-/// allocation the search needs — the node arena, the spatial index, the
-/// near-set / target / gap-region / linear-reference buffers, and the
-/// warm-start rebase workspace — lives here and is `clear()`-reused
-/// across plans, so a replanning mission allocates nothing per decision
-/// once the buffers reach steady-state capacity. With
-/// [`RrtConfig::warm_start`] on, the scratch additionally retains the
-/// previous search tree for recycling (see the module docs).
+/// allocation the search needs — the node arena, the spatial index and
+/// the near-set / target / gap-region / linear-reference buffers — lives
+/// here and is `clear()`-reused across plans, so a replanning mission
+/// allocates nothing per decision once the buffers reach steady-state
+/// capacity. No search state survives from one plan to the next.
 #[derive(Debug, Clone)]
 pub struct PlannerScratch {
     arena: NodeArena,
@@ -652,26 +549,9 @@ pub struct PlannerScratch {
     near_buf: Vec<u32>,
     targets: Vec<Vec3>,
     gap_regions: Vec<Aabb>,
-    /// `true` while `arena` holds a recyclable tree from the previous
-    /// indexed plan (with `grid` indexing exactly its positions).
-    has_tree: bool,
-    /// Incremented whenever a search rebuilds the retained tree — the
-    /// mission layer compares epochs to learn whether its map snapshot
-    /// must advance (a direct-connection shortcut leaves both untouched).
-    tree_epoch: u64,
     /// Plans after which some scratch buffer had to grow its capacity —
     /// zero in steady state, the bench's allocation-reuse headline.
     grow_events: u64,
-    // Warm-start rebase workspace (all reused across replans).
-    spare: NodeArena,
-    edge_ok: Vec<bool>,
-    adj_off: Vec<u32>,
-    adj: Vec<u32>,
-    csr_cursor: Vec<u32>,
-    bfs_old_to_new: Vec<u32>,
-    bfs_queue: Vec<u32>,
-    warm_added: Vec<Aabb>,
-    warm_hazard: Vec<Aabb>,
 }
 
 impl Default for PlannerScratch {
@@ -691,27 +571,8 @@ impl PlannerScratch {
             near_buf: Vec::new(),
             targets: Vec::new(),
             gap_regions: Vec::new(),
-            has_tree: false,
-            tree_epoch: 0,
             grow_events: 0,
-            spare: NodeArena::with_capacity(0),
-            edge_ok: Vec::new(),
-            adj_off: Vec::new(),
-            adj: Vec::new(),
-            csr_cursor: Vec::new(),
-            bfs_old_to_new: Vec::new(),
-            bfs_queue: Vec::new(),
-            warm_added: Vec::new(),
-            warm_hazard: Vec::new(),
         }
-    }
-
-    /// Epoch counter of the retained tree: bumped by every search that
-    /// rebuilt the arena (cold or warm), untouched by direct-connection
-    /// shortcuts. The mission layer uses this to decide whether its
-    /// warm-start map snapshot must advance.
-    pub fn tree_epoch(&self) -> u64 {
-        self.tree_epoch
     }
 
     /// Plans after which some scratch buffer had to grow (zero once the
@@ -720,37 +581,16 @@ impl PlannerScratch {
         self.grow_events
     }
 
-    /// Number of nodes in the retained tree, or zero when no recyclable
-    /// tree is held.
-    pub fn retained_tree_size(&self) -> usize {
-        if self.has_tree {
-            self.arena.len()
-        } else {
-            0
-        }
-    }
-
-    /// Drops the retained tree (the next warm-start attempt cold-starts).
-    /// Buffers keep their capacity. Call when the map snapshot the tree
-    /// was validated against is no longer available (e.g. the export
-    /// voxel size changed, so no key-level delta exists).
-    pub fn invalidate_tree(&mut self) {
-        self.has_tree = false;
-    }
-
-    /// Recreates the spatial index when the cell size changed (which
-    /// orphans any retained tree — ids would still match, but a stale
-    /// cell size would silently degrade query performance).
+    /// Recreates the spatial index when the cell size changed.
     fn ensure_cell(&mut self, cell: f64) {
         if (self.grid.cell_size() - cell).abs() > 1e-12 {
             self.grid = PointGridIndex::new(cell);
-            self.has_tree = false;
         }
     }
 
-    /// Resets the arena and the active neighbor store for a cold search
-    /// rooted at `start`.
-    fn cold_reset(&mut self, start: Vec3, capacity: usize, linear: bool) {
+    /// Resets the arena and the active neighbor store for a search rooted
+    /// at `start`.
+    fn reset(&mut self, start: Vec3, capacity: usize, linear: bool) {
         self.arena.clear();
         self.arena.reserve(capacity);
         self.arena.push(start, NO_PARENT, 0.0);
@@ -767,52 +607,11 @@ impl PlannerScratch {
     /// count growth events, and reported by the allocation benches.
     pub fn footprint(&self) -> usize {
         self.arena.positions.capacity()
-            + self.spare.positions.capacity()
             + self.near_buf.capacity()
             + self.targets.capacity()
             + self.gap_regions.capacity()
             + self.linear_points.capacity()
-            + self.adj.capacity()
-            + self.bfs_queue.capacity()
-            + self.warm_added.capacity()
-            + self.warm_hazard.capacity()
     }
-}
-
-/// `true` when the segment `a → b` stays clear of every warm-start delta
-/// box at its clearance — the edge-level mirror of
-/// `CollisionChecker::path_clear_of_added` (same stepping rule).
-fn edge_clear(a: Vec3, b: Vec3, warm: &WarmStart) -> bool {
-    if warm.added_boxes.is_empty() && warm.hazard_boxes.is_empty() {
-        return true;
-    }
-    let step = warm.sample_step.max(1e-3);
-    let steps = (a.distance(b) / step).ceil().max(1.0) as usize;
-    for i in 0..=steps {
-        let t = i as f64 / steps as f64;
-        let p = a + (b - a) * t;
-        for bx in warm.added_boxes {
-            if bx.distance_to_point(p) <= warm.added_clearance {
-                return false;
-            }
-        }
-        for bx in warm.hazard_boxes {
-            if bx.distance_to_point(p) <= warm.hazard_clearance {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Search-loop seed state: what a cold start or a successful rebase hands
-/// the sampling loop.
-struct SearchSeed {
-    explored: Aabb,
-    best_goal_node: Option<u32>,
-    retained_nodes: usize,
-    pruned_nodes: usize,
-    rebased: bool,
 }
 
 /// The RRT* planner.
@@ -864,16 +663,12 @@ impl RrtStar {
         sampling_bounds: &Aabb,
     ) -> RrtResult {
         let mut scratch = PlannerScratch::new();
-        self.plan_with_scratch(checker, start, goal, sampling_bounds, &mut scratch, None)
+        self.plan_with_scratch(checker, start, goal, sampling_bounds, &mut scratch)
     }
 
     /// [`RrtStar::plan`] against a caller-owned [`PlannerScratch`]: all
     /// search buffers are reused across calls (zero steady-state
-    /// allocation), and with [`RrtConfig::warm_start`] on plus a
-    /// [`WarmStart`] delta, the previous tree is recycled per the module
-    /// docs' rebase / prune / repair contract. With `warm` `None` (or
-    /// `warm_start` off, or no usable anchor) the search cold-starts,
-    /// bit-identical to [`RrtStar::plan`].
+    /// allocation), and the result is bit-identical to [`RrtStar::plan`].
     pub fn plan_with_scratch<H: HazardSource>(
         &self,
         checker: &mut H,
@@ -881,9 +676,8 @@ impl RrtStar {
         goal: Vec3,
         sampling_bounds: &Aabb,
         scratch: &mut PlannerScratch,
-        warm: Option<&WarmStart>,
     ) -> RrtResult {
-        self.plan_impl(checker, start, goal, sampling_bounds, scratch, warm, false)
+        self.plan_impl(checker, start, goal, sampling_bounds, scratch, false)
     }
 
     /// The retained linear-scan reference: the same search with O(n)
@@ -897,23 +691,12 @@ impl RrtStar {
         sampling_bounds: &Aabb,
     ) -> RrtResult {
         let mut scratch = PlannerScratch::new();
-        self.plan_impl(
-            checker,
-            start,
-            goal,
-            sampling_bounds,
-            &mut scratch,
-            None,
-            true,
-        )
+        self.plan_impl(checker, start, goal, sampling_bounds, &mut scratch, true)
     }
 
-    /// Shared entry: direct-connection shortcut, then warm rebase or cold
-    /// reset, then the generic search loop over the scratch buffers.
-    /// Linear mode is the equivalence-reference path; it never recycles a
-    /// tree (and marks the scratch's tree unusable, since the grid no
-    /// longer mirrors the arena).
-    #[allow(clippy::too_many_arguments)]
+    /// Shared entry: direct-connection shortcut, then a reset of the
+    /// scratch buffers, then the generic search loop over them. Linear
+    /// mode is the equivalence-reference path.
     fn plan_impl<H: HazardSource>(
         &self,
         checker: &mut H,
@@ -921,14 +704,12 @@ impl RrtStar {
         goal: Vec3,
         sampling_bounds: &Aabb,
         scratch: &mut PlannerScratch,
-        warm: Option<&WarmStart>,
         linear: bool,
     ) -> RrtResult {
         let cfg = &self.config;
 
         // Direct connection shortcut: open sky missions should not pay
-        // for tree growth at all. Any retained tree (and its snapshot
-        // epoch) stays untouched — deltas keep accumulating against it.
+        // for tree growth at all.
         if checker.segment_free(start, goal) {
             return RrtResult {
                 path: vec![start, goal],
@@ -939,10 +720,6 @@ impl RrtStar {
                 volume_capped: false,
                 rewires: 0,
                 batch_rounds: 0,
-                retained_nodes: 0,
-                pruned_nodes: 0,
-                rebased: false,
-                informed_rejections: 0,
             };
         }
 
@@ -953,22 +730,7 @@ impl RrtStar {
             // ring.
             scratch.ensure_cell(cfg.rewire_radius.max(1e-3));
         }
-        let seed = match warm {
-            Some(w) if cfg.warm_start && scratch.has_tree && !linear => {
-                self.rebase(checker, start, goal, w, scratch)
-            }
-            _ => None,
-        };
-        let seed = seed.unwrap_or_else(|| {
-            scratch.cold_reset(start, cfg.max_samples + 1, linear);
-            SearchSeed {
-                explored: Aabb::new(start, start),
-                best_goal_node: None,
-                retained_nodes: 0,
-                pruned_nodes: 0,
-                rebased: false,
-            }
-        });
+        scratch.reset(start, cfg.max_samples + 1, linear);
         let PlannerScratch {
             arena,
             grid,
@@ -1000,7 +762,6 @@ impl RrtStar {
                 targets,
                 gap_regions,
                 &params,
-                seed,
             )
         } else {
             let mut neighbors = GridNeighbors { index: grid };
@@ -1015,238 +776,17 @@ impl RrtStar {
                 targets,
                 gap_regions,
                 &params,
-                seed,
             )
         };
-        scratch.has_tree = !linear;
-        scratch.tree_epoch = scratch.tree_epoch.wrapping_add(1);
         if scratch.footprint() > footprint_before {
             scratch.grow_events += 1;
         }
         result
     }
 
-    /// Warm-start rebase: re-roots the retained tree at the new start,
-    /// prunes edges invalidated by the [`WarmStart`] delta, and repairs
-    /// costs from the new root (see the module docs). Returns `None` —
-    /// meaning cold-start — when no retained node lies within the rebase
-    /// radius of the new start or the start→anchor edge is blocked under
-    /// the current checker.
-    fn rebase<H: HazardSource>(
-        &self,
-        checker: &mut H,
-        start: Vec3,
-        goal: Vec3,
-        warm: &WarmStart,
-        scratch: &mut PlannerScratch,
-    ) -> Option<SearchSeed> {
-        let cfg = &self.config;
-        let anchor = scratch.grid.nearest(start)?;
-        let anchor_pos = scratch.arena.position(anchor);
-        let anchor_dist = anchor_pos.distance(start);
-        if anchor_dist > cfg.steer_length * REBASE_RADIUS_FACTOR {
-            return None;
-        }
-        if anchor_dist > 1e-12 && !checker.segment_free(start, anchor_pos) {
-            return None;
-        }
-        let old_len = scratch.arena.len();
-
-        // 0. Bounding-volume prefilter: every edge point lies inside the
-        // tree's AABB (edges connect tree nodes, and an AABB is convex),
-        // so a delta/hazard box farther than its clearance from that AABB
-        // can never cut an edge. Mission deltas are whatever the cameras
-        // swept this epoch — most of it far from the tree — so this turns
-        // the O(edges × boxes) prune into O(edges × nearby boxes).
-        let mut tree_lo = start;
-        let mut tree_hi = start;
-        for id in 0..old_len as u32 {
-            let p = scratch.arena.position(id);
-            tree_lo = tree_lo.min(p);
-            tree_hi = tree_hi.max(p);
-        }
-        let inflate = |pad: f64| {
-            let pad = Vec3::new(pad, pad, pad);
-            Aabb::new(tree_lo - pad, tree_hi + pad)
-        };
-        let mut warm_added = std::mem::take(&mut scratch.warm_added);
-        let mut warm_hazard = std::mem::take(&mut scratch.warm_hazard);
-        warm_added.clear();
-        warm_hazard.clear();
-        let added_reach = inflate(warm.added_clearance);
-        warm_added.extend(
-            warm.added_boxes
-                .iter()
-                .filter(|b| b.intersects(&added_reach)),
-        );
-        let hazard_reach = inflate(warm.hazard_clearance);
-        warm_hazard.extend(
-            warm.hazard_boxes
-                .iter()
-                .filter(|b| b.intersects(&hazard_reach)),
-        );
-        let near = WarmStart {
-            added_boxes: &warm_added,
-            hazard_boxes: &warm_hazard,
-            ..*warm
-        };
-
-        let PlannerScratch {
-            arena,
-            grid,
-            spare,
-            edge_ok,
-            adj_off,
-            adj,
-            csr_cursor,
-            bfs_old_to_new,
-            bfs_queue,
-            ..
-        } = scratch;
-
-        // 1. Edge validity under the decision delta (the prune step).
-        edge_ok.clear();
-        edge_ok.resize(old_len, false);
-        for id in 0..old_len as u32 {
-            if let Some(p) = arena.parent(id) {
-                edge_ok[id as usize] = edge_clear(arena.position(p), arena.position(id), &near);
-            }
-        }
-
-        // 2. CSR adjacency over the surviving edges, undirected — the
-        // re-rooting traversal below must walk parent links *backwards*
-        // (segment validity is symmetric, so a reversed edge is as good
-        // as a forward one).
-        adj_off.clear();
-        adj_off.resize(old_len + 1, 0);
-        for id in 0..old_len {
-            if edge_ok[id] {
-                let p = arena.parents[id] as usize;
-                adj_off[id] += 1;
-                adj_off[p] += 1;
-            }
-        }
-        let mut running = 0u32;
-        for slot in adj_off.iter_mut() {
-            let count = *slot;
-            *slot = running;
-            running += count;
-        }
-        csr_cursor.clear();
-        csr_cursor.extend_from_slice(&adj_off[..old_len]);
-        adj.clear();
-        adj.resize(running as usize, 0);
-        for id in 0..old_len {
-            if edge_ok[id] {
-                let p = arena.parents[id] as usize;
-                adj[csr_cursor[id] as usize] = p as u32;
-                csr_cursor[id] += 1;
-                adj[csr_cursor[p] as usize] = id as u32;
-                csr_cursor[p] += 1;
-            }
-        }
-
-        // 3. Re-root + cost repair: one traversal from the anchor over
-        // the surviving edges assigns each reached node its path cost
-        // from the new root; unreached nodes (cut edges, orphaned
-        // subtrees) are dropped.
-        spare.clear();
-        spare.reserve(old_len + 1 + cfg.max_samples);
-        spare.push(start, NO_PARENT, 0.0);
-        bfs_old_to_new.clear();
-        bfs_old_to_new.resize(old_len, u32::MAX);
-        let anchor_new = spare.push(anchor_pos, 0, anchor_dist);
-        bfs_old_to_new[anchor as usize] = anchor_new;
-        bfs_queue.clear();
-        bfs_queue.push(anchor);
-        let mut head = 0usize;
-        while head < bfs_queue.len() {
-            let cur = bfs_queue[head] as usize;
-            head += 1;
-            let cur_new = bfs_old_to_new[cur];
-            let cur_pos = spare.position(cur_new);
-            let cur_cost = spare.cost(cur_new);
-            for k in adj_off[cur]..adj_off[cur + 1] {
-                let nb = adj[k as usize];
-                if bfs_old_to_new[nb as usize] != u32::MAX {
-                    continue;
-                }
-                let pos = arena.position(nb);
-                let id = spare.push(pos, cur_new, cur_cost + cur_pos.distance(pos));
-                bfs_old_to_new[nb as usize] = id;
-                bfs_queue.push(nb);
-            }
-        }
-        std::mem::swap(arena, spare);
-
-        // 4. Rebuild the spatial index over the rebased tree and rescan
-        // for a retained goal connection (tolerance rule only — the
-        // steer-and-check rule needs collision queries, which the search
-        // loop will spend where they pay off).
-        grid.clear();
-        let mut explored = Aabb::new(start, start);
-        let mut best_goal_node: Option<u32> = None;
-        let mut best_total = f64::INFINITY;
-        for id in 0..arena.len() as u32 {
-            let pos = arena.position(id);
-            grid.insert(pos);
-            explored = Aabb::union(&explored, &Aabb::new(pos, pos));
-            let d = pos.distance(goal);
-            if d <= cfg.goal_tolerance {
-                let total = arena.cost(id) + d;
-                if total < best_total {
-                    best_total = total;
-                    best_goal_node = Some(id);
-                }
-            }
-        }
-        let retained = arena.len();
-        scratch.warm_added = warm_added;
-        scratch.warm_hazard = warm_hazard;
-        Some(SearchSeed {
-            explored,
-            best_goal_node,
-            retained_nodes: retained,
-            // Old nodes dropped: the rebased tree re-uses `retained - 1`
-            // of the `old_len` previous nodes (the new root is new).
-            pruned_nodes: old_len + 1 - retained,
-            rebased: true,
-        })
-    }
-
-    /// One informed-aware target draw: the mix proposal, redrawn while it
-    /// falls outside the best-solution spheroid (bounded retries — see
-    /// [`INFORMED_MAX_REDRAWS`]). `informed` is `None` when the filter is
-    /// inactive, keeping the draw bit-identical to the plain mix.
-    #[allow(clippy::too_many_arguments)]
-    fn draw_target(
-        sampler: &Sampler,
-        rng: &mut SplitMix64,
-        start: Vec3,
-        goal: Vec3,
-        goal_bias: f64,
-        bounds: &Aabb,
-        gap_regions: &[Aabb],
-        informed: Option<f64>,
-        rejections: &mut usize,
-    ) -> Vec3 {
-        let mut t = sampler.sample_target(rng, goal, goal_bias, bounds, gap_regions);
-        let Some(c_best) = informed else {
-            return t;
-        };
-        for _ in 0..INFORMED_MAX_REDRAWS {
-            if start.distance(t) + t.distance(goal) <= c_best {
-                return t;
-            }
-            *rejections += 1;
-            t = sampler.sample_target(rng, goal, goal_bias, bounds, gap_regions);
-        }
-        t
-    }
-
     /// The generic search loop (grid-indexed and linear-reference paths
-    /// share it bit-identically), continuing from `seed` — a cold root or
-    /// a rebased warm tree.
+    /// share it bit-identically), growing the tree from the root that
+    /// `arena` already holds.
     #[allow(clippy::too_many_arguments)]
     fn search<N: NeighborSearch, H: HazardSource>(
         &self,
@@ -1260,47 +800,20 @@ impl RrtStar {
         targets: &mut Vec<Vec3>,
         gap_regions: &[Aabb],
         params: &PlanParams,
-        seed: SearchSeed,
     ) -> RrtResult {
         let cfg = &self.config;
         let mut rng = SplitMix64::new(cfg.seed);
-        let mut explored = seed.explored;
-        let mut best_goal_node = seed.best_goal_node;
-        // A warm-retained solution counts as known at sample zero, so the
-        // refine budget and the informed filter engage immediately.
-        let mut solution_at: Option<usize> = best_goal_node.map(|_| 0);
+        let mut explored = Aabb::new(start, start);
+        let mut best_goal_node: Option<u32> = None;
         let mut samples_drawn = 0usize;
         let mut volume_capped = false;
         let mut rewires = 0usize;
         let mut batch_rounds = 0usize;
-        let mut informed_rejections = 0usize;
-        let c_min = start.distance(goal);
 
         let batch = cfg.batch_size.max(1);
 
         'search: while samples_drawn < cfg.max_samples {
-            // Refine budget: once a solution exists, spend at most
-            // `refine_samples` further samples polishing it (0 = search
-            // the full budget, the pre-PR-10 behavior).
-            if cfg.refine_samples > 0 {
-                if let Some(at) = solution_at {
-                    if samples_drawn.saturating_sub(at) >= cfg.refine_samples {
-                        break 'search;
-                    }
-                }
-            }
             batch_rounds += 1;
-            // Informed set for this round: the prolate spheroid of the
-            // *current* best solution (foci start/goal, major axis the
-            // best cost). Inactive until a solution exists or when the
-            // spheroid has no slack over the straight-line distance.
-            let informed = if cfg.informed_sampling {
-                best_goal_node
-                    .map(|idx| arena.cost(idx) + arena.position(idx).distance(goal))
-                    .filter(|c| *c > c_min + 1e-9)
-            } else {
-                None
-            };
             // Pre-draw this round's targets. Targets are the only
             // per-sample RNG consumption, so drawing K up front consumes
             // the identical stream the per-sample loop would (targets
@@ -1309,16 +822,12 @@ impl RrtStar {
             let take = batch.min(cfg.max_samples - samples_drawn);
             targets.clear();
             for _ in 0..take {
-                targets.push(Self::draw_target(
-                    &params.sampler,
+                targets.push(params.sampler.sample_target(
                     &mut rng,
-                    start,
                     goal,
                     cfg.goal_bias,
                     sampling_bounds,
                     gap_regions,
-                    informed,
-                    &mut informed_rejections,
                 ));
             }
             // Nodes appended during this round are not yet in the
@@ -1402,9 +911,6 @@ impl RrtStar {
                     };
                     if better {
                         best_goal_node = Some(new_idx);
-                        if solution_at.is_none() {
-                            solution_at = Some(samples_drawn);
-                        }
                     }
                 }
             }
@@ -1434,10 +940,6 @@ impl RrtStar {
                     volume_capped,
                     rewires,
                     batch_rounds,
-                    retained_nodes: seed.retained_nodes,
-                    pruned_nodes: seed.pruned_nodes,
-                    rebased: seed.rebased,
-                    informed_rejections,
                 }
             }
             None => RrtResult {
@@ -1449,10 +951,6 @@ impl RrtStar {
                 volume_capped,
                 rewires,
                 batch_rounds,
-                retained_nodes: seed.retained_nodes,
-                pruned_nodes: seed.pruned_nodes,
-                rebased: seed.rebased,
-                informed_rejections,
             },
         }
     }
@@ -1472,7 +970,7 @@ trait NeighborSearch {
 }
 
 /// Grid-accelerated neighbor queries (the default). Borrows the
-/// scratch-owned index so warm starts can retain it across plans.
+/// scratch-owned index so its cells are reused across plans.
 struct GridNeighbors<'a> {
     index: &'a mut PointGridIndex,
 }
@@ -1942,12 +1440,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_defaults_off_and_scratch_reuse_is_bit_identical() {
-        let cfg = RrtConfig::default();
-        assert!(!cfg.warm_start);
-        assert!(!cfg.informed_sampling);
-        assert_eq!(cfg.refine_samples, 0);
-
+    fn scratch_reuse_is_bit_identical() {
         let planner = RrtStar::new(RrtConfig {
             seed: 9,
             ..RrtConfig::default()
@@ -1957,9 +1450,8 @@ mod tests {
         let mut c1 = wall_with_gap_checker();
         let fresh = planner.plan(&mut c1, start, goal, &corridor_bounds());
 
-        // Reused scratch (after a prior unrelated plan) must not perturb
-        // the stream; and a WarmStart handed in with `warm_start` off is
-        // ignored.
+        // A scratch reused after a prior unrelated plan must not perturb
+        // the stream.
         let mut scratch = PlannerScratch::new();
         let mut c0 = wall_with_gap_checker();
         let _ = planner.plan_with_scratch(
@@ -1968,251 +1460,118 @@ mod tests {
             goal,
             &corridor_bounds(),
             &mut scratch,
-            None,
         );
-        let warm = WarmStart {
-            added_boxes: &[],
-            added_clearance: 0.45,
-            hazard_boxes: &[],
-            hazard_clearance: 0.27,
-            sample_step: 0.5,
-        };
         let mut c2 = wall_with_gap_checker();
-        let reused = planner.plan_with_scratch(
-            &mut c2,
-            start,
-            goal,
-            &corridor_bounds(),
-            &mut scratch,
-            Some(&warm),
-        );
+        let reused =
+            planner.plan_with_scratch(&mut c2, start, goal, &corridor_bounds(), &mut scratch);
         assert_eq!(fresh, reused);
         assert_eq!(c1.queries(), c2.queries());
-        assert!(!reused.rebased);
-        assert_eq!(reused.retained_nodes, 0);
     }
 
-    fn warm_planner(seed: u64) -> RrtStar {
-        RrtStar::new(RrtConfig {
-            seed,
-            warm_start: true,
-            informed_sampling: true,
-            refine_samples: 128,
-            ..RrtConfig::default()
-        })
-    }
-
-    #[test]
-    fn warm_start_empty_delta_retains_full_tree() {
-        let planner = warm_planner(3);
-        let start = Vec3::new(0.0, 0.0, 5.0);
-        let goal = Vec3::new(40.0, 0.0, 5.0);
-        let mut checker = wall_with_gap_checker();
-        let mut scratch = PlannerScratch::new();
-        let cold = planner.plan_with_scratch(
-            &mut checker,
-            start,
-            goal,
-            &corridor_bounds(),
-            &mut scratch,
-            None,
-        );
-        assert!(cold.found());
-        assert!(!cold.rebased);
-        let epoch_cold = scratch.tree_epoch();
-
-        let warm = WarmStart {
-            added_boxes: &[],
-            added_clearance: 0.45,
-            hazard_boxes: &[],
-            hazard_clearance: 0.27,
-            sample_step: 0.5,
-        };
-        let rewarmed = planner.plan_with_scratch(
-            &mut checker,
-            start,
-            goal,
-            &corridor_bounds(),
-            &mut scratch,
-            Some(&warm),
-        );
-        assert!(rewarmed.found());
-        assert!(rewarmed.rebased);
-        // Nothing to prune: every previous node (plus the new root) is
-        // retained.
-        assert_eq!(rewarmed.pruned_nodes, 0);
-        assert_eq!(rewarmed.retained_nodes, cold.tree_size + 1);
-        assert!(scratch.tree_epoch() > epoch_cold);
-
-        // Invariants of the rebased tree itself, before any search mixes
-        // in fresh nodes (the search's lazy rewires legitimately leave
-        // descendant costs stale, so check straight after `rebase`).
-        let seed = planner
-            .rebase(&mut checker, start, goal, &warm, &mut scratch)
-            .expect("empty delta must rebase");
-        assert!(seed.rebased);
-        assert_eq!(seed.pruned_nodes, 0);
-        assert_arena_costs_consistent(&scratch.arena);
-        let mut verify = wall_with_gap_checker();
-        for id in 0..scratch.arena.len() as u32 {
-            if let Some(p) = scratch.arena.parent(id) {
-                assert!(
-                    verify.segment_free(scratch.arena.position(p), scratch.arena.position(id)),
-                    "edge {p}->{id} collides after rebase"
-                );
-            }
+    /// FNV-1a over `bytes`, folded into `hash`.
+    fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *hash ^= u64::from(b);
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 
-    fn assert_arena_costs_consistent(arena: &NodeArena) {
-        for id in 0..arena.len() as u32 {
-            match arena.parent(id) {
-                None => assert_eq!(arena.cost(id), 0.0, "root cost"),
-                Some(p) => {
-                    let expect = arena.cost(p) + arena.position(p).distance(arena.position(id));
-                    assert!(
-                        (arena.cost(id) - expect).abs() < 1e-9,
-                        "cost of node {id} inconsistent with parent {p}"
-                    );
+    /// Hash of everything a cold plan's RNG and collision-query streams
+    /// determine: the waypoint bits and the search counters.
+    fn stream_hash(result: &RrtResult, collision_queries: usize) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        for p in &result.path {
+            for v in [p.x, p.y, p.z] {
+                fnv1a(&mut hash, &v.to_bits().to_le_bytes());
+            }
+        }
+        for n in [
+            result.samples_drawn,
+            result.tree_size,
+            collision_queries,
+            result.rewires,
+            result.batch_rounds,
+        ] {
+            fnv1a(&mut hash, &(n as u64).to_le_bytes());
+        }
+        hash
+    }
+
+    /// Cold-plan stream pin. Order: seed, then knob setting, then
+    /// sampling mix off/on, then batch size 1/16. A mismatch means the
+    /// planner's sample or collision-query stream changed; the mission
+    /// golden fixtures would move with it.
+    const COLD_STREAM_PIN: [u64; 24] = [
+        0xde4a_a506_3d71_0668,
+        0x7c8b_3526_99d6_712b,
+        0x3ced_cc6b_a0ff_7c5d,
+        0x1a98_586f_7057_3a1e,
+        0x60e0_4753_81c2_3116,
+        0x0a6d_621a_7252_8fec,
+        0xc539_1727_5b83_582f,
+        0xb339_2fe2_7350_8880,
+        0x6196_5ca8_6d96_c728,
+        0xffd6_ecc8_c9fc_31eb,
+        0x77e9_dbaf_4d0a_a320,
+        0x162a_6bcf_a970_0de3,
+        0xf070_6eae_e667_c6a3,
+        0x4065_e405_e479_2a94,
+        0x3d70_4fe1_423c_608a,
+        0x0fce_513e_7d69_2a38,
+        0xcb46_7186_e277_bc22,
+        0xb7aa_d87b_29b9_f715,
+        0x0117_9f4c_f50a_a6cb,
+        0x7820_fd55_dff4_8774,
+        0x0209_86ae_cbb7_89a2,
+        0xf362_4f15_11d3_9d71,
+        0x446d_325f_ae81_d7fa,
+        0xe424_2d99_5f65_1619,
+    ];
+
+    #[test]
+    fn cold_plan_stream_is_pinned() {
+        let start = Vec3::new(0.0, 0.0, 5.0);
+        let goal = Vec3::new(40.0, 0.0, 5.0);
+        // A predicted lane past the gap, so the mix has bias boxes.
+        let hazards = crate::PredictedHazards::new(
+            vec![Aabb::new(
+                Vec3::new(26.0, 2.0, 0.0),
+                Vec3::new(29.0, 25.0, 12.0),
+            )],
+            0.27,
+            start,
+            1e9,
+        );
+        // (planning volume m³, collision step m): roomy and tight.
+        let knobs = [(1.0e6, 0.3), (12_000.0, 0.6)];
+        let mut hashes = Vec::new();
+        for seed in [3u64, 7, 11] {
+            for (volume, step) in knobs {
+                for enabled in [false, true] {
+                    for batch_size in [1usize, 16] {
+                        let planner = RrtStar::new(RrtConfig {
+                            seed,
+                            max_samples: 800,
+                            max_explored_volume: volume,
+                            sampling_mix: SamplingMix {
+                                enabled,
+                                ..SamplingMix::default()
+                            },
+                            batch_size,
+                            ..RrtConfig::default()
+                        });
+                        let mut checker = wall_with_gap_checker();
+                        checker.set_check_step(step);
+                        let mut ctx = crate::HazardContext::new(&mut checker, &hazards);
+                        let result = planner.plan(&mut ctx, start, goal, &corridor_bounds());
+                        hashes.push(stream_hash(&result, ctx.queries()));
+                    }
                 }
             }
         }
-    }
-
-    #[test]
-    fn warm_start_cold_starts_when_anchor_out_of_range() {
-        let planner = warm_planner(5);
-        let goal = Vec3::new(40.0, 0.0, 5.0);
-        let mut checker = wall_with_gap_checker();
-        let mut scratch = PlannerScratch::new();
-        let _ = planner.plan_with_scratch(
-            &mut checker,
-            Vec3::new(0.0, 0.0, 5.0),
-            goal,
-            &corridor_bounds(),
-            &mut scratch,
-            None,
-        );
-        // Teleport far outside the explored tree: no retained node within
-        // the rebase radius, so the plan must cold-start (and say so).
-        let warm = WarmStart {
-            added_boxes: &[],
-            added_clearance: 0.45,
-            hazard_boxes: &[],
-            hazard_clearance: 0.27,
-            sample_step: 0.5,
-        };
-        let far = Vec3::new(-200.0, 0.0, 5.0);
-        let result = planner.plan_with_scratch(
-            &mut checker,
-            far,
-            goal,
-            &corridor_bounds(),
-            &mut scratch,
-            Some(&warm),
-        );
-        assert!(!result.rebased);
-        assert_eq!(result.retained_nodes, 0);
-    }
-
-    #[test]
-    fn warm_start_prunes_edges_cut_by_added_boxes() {
-        let planner = warm_planner(7);
-        let start = Vec3::new(0.0, 0.0, 5.0);
-        let goal = Vec3::new(40.0, 0.0, 5.0);
-        let mut checker = wall_with_gap_checker();
-        let mut scratch = PlannerScratch::new();
-        let cold = planner.plan_with_scratch(
-            &mut checker,
-            start,
-            goal,
-            &corridor_bounds(),
-            &mut scratch,
-            None,
-        );
-        assert!(cold.found());
-        // Slam a fat box over the old gap: edges through it must go.
-        let blocker = Aabb::new(Vec3::new(18.0, 4.0, 0.0), Vec3::new(22.0, 12.0, 12.0));
-        let warm = WarmStart {
-            added_boxes: std::slice::from_ref(&blocker),
-            added_clearance: 0.45,
-            hazard_boxes: &[],
-            hazard_clearance: 0.27,
-            sample_step: 0.5,
-        };
-        // Rebase directly (no search afterwards) so the retained tree can
-        // be inspected: pruning must have bitten, every surviving edge
-        // must clear the added box, and repaired costs must be exact.
-        let seed = planner
-            .rebase(&mut checker, start, goal, &warm, &mut scratch)
-            .expect("anchor at the unchanged start must be usable");
-        assert!(seed.rebased);
-        assert!(seed.pruned_nodes > 0, "blocked edges must be pruned");
-        assert_arena_costs_consistent(&scratch.arena);
-        for id in 0..scratch.arena.len() as u32 {
-            if let Some(p) = scratch.arena.parent(id) {
-                assert!(
-                    edge_clear(scratch.arena.position(p), scratch.arena.position(id), &warm),
-                    "retained edge {p}->{id} intersects an added box"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn refine_budget_stops_search_after_first_solution() {
-        let start = Vec3::new(0.0, 0.0, 5.0);
-        let goal = Vec3::new(40.0, 0.0, 5.0);
-        let full = RrtStar::new(RrtConfig {
-            seed: 3,
-            max_samples: 4000,
-            ..RrtConfig::default()
-        });
-        let refined = RrtStar::new(RrtConfig {
-            seed: 3,
-            max_samples: 4000,
-            refine_samples: 64,
-            ..RrtConfig::default()
-        });
-        let mut c1 = wall_with_gap_checker();
-        let mut c2 = wall_with_gap_checker();
-        let a = full.plan(&mut c1, start, goal, &corridor_bounds());
-        let b = refined.plan(&mut c2, start, goal, &corridor_bounds());
-        assert!(a.found() && b.found());
-        assert!(
-            b.samples_drawn < a.samples_drawn,
-            "refine budget should stop early ({} vs {})",
-            b.samples_drawn,
-            a.samples_drawn
-        );
-    }
-
-    #[test]
-    fn informed_sampling_rejects_outside_spheroid_only_after_solution() {
-        let start = Vec3::new(0.0, 0.0, 5.0);
-        let goal = Vec3::new(40.0, 0.0, 5.0);
-        let planner = RrtStar::new(RrtConfig {
-            seed: 3,
-            informed_sampling: true,
-            ..RrtConfig::default()
-        });
-        let mut checker = wall_with_gap_checker();
-        let result = planner.plan(&mut checker, start, goal, &corridor_bounds());
-        assert!(result.found());
-        assert!(
-            result.informed_rejections > 0,
-            "late-phase draws should hit the spheroid filter"
-        );
-        // And with the flag off the counter stays zero.
-        let off = RrtStar::new(RrtConfig {
-            seed: 3,
-            ..RrtConfig::default()
-        });
-        let mut c2 = wall_with_gap_checker();
         assert_eq!(
-            off.plan(&mut c2, start, goal, &corridor_bounds())
-                .informed_rejections,
-            0
+            hashes, COLD_STREAM_PIN,
+            "cold RRT* stream changed; new pin: {hashes:#018x?}"
         );
     }
 
@@ -2233,7 +1592,6 @@ mod tests {
                 goal,
                 &corridor_bounds(),
                 &mut scratch,
-                None,
             );
         }
         let settled = scratch.grow_events();
@@ -2245,7 +1603,6 @@ mod tests {
                 goal,
                 &corridor_bounds(),
                 &mut scratch,
-                None,
             );
         }
         assert_eq!(

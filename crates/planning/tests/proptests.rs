@@ -6,8 +6,7 @@ use roborun_geom::{Aabb, Vec3};
 use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
 use roborun_planning::{
     polyline_clear_of_boxes, smooth_path, CollisionChecker, HazardSource, PeerTrajectoryHazard,
-    PlannerScratch, PredictedHazards, RrtConfig, RrtStar, SmoothingConfig, Trajectory,
-    TrajectoryPoint, WarmStart,
+    PredictedHazards, RrtConfig, RrtStar, SmoothingConfig, Trajectory, TrajectoryPoint,
 };
 
 fn arb_waypoints() -> impl Strategy<Value = Vec<Vec3>> {
@@ -165,136 +164,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Warm-start with an *empty* delta must rebase (not cold-start),
-    /// prune nothing, retain the full previous tree plus the new root,
-    /// and — like any plan — produce a collision-free path whose cost is
-    /// its length. See the `rrtstar` in-file tests for the arena-level
-    /// cost-repair invariants; this covers the public contract on random
-    /// worlds.
-    #[test]
-    fn warm_start_empty_delta_retains_full_tree(gap_center in -12.0f64..12.0,
-                                                seed in 0u64..256) {
-        let map = wall_map(gap_center - 2.5, gap_center + 2.5);
-        let planner = RrtStar::new(RrtConfig {
-            seed,
-            warm_start: true,
-            informed_sampling: true,
-            refine_samples: 128,
-            ..RrtConfig::default()
-        });
-        let start = Vec3::new(0.0, 0.0, 5.0);
-        let goal = Vec3::new(40.0, 0.0, 5.0);
-        let bounds = Aabb::new(Vec3::new(-5.0, -25.0, 1.0), Vec3::new(45.0, 25.0, 11.0));
-        let mut checker = CollisionChecker::new(map.clone(), 0.45, 0.5);
-        let mut scratch = PlannerScratch::new();
-        let cold = planner.plan_with_scratch(&mut checker, start, goal, &bounds, &mut scratch, None);
-        // Direct-connection worlds (gap spanning the start→goal line)
-        // never grow a tree, so there is nothing to rebase.
-        prop_assume!(cold.found() && cold.samples_drawn > 0);
-        let warm = WarmStart {
-            added_boxes: &[],
-            added_clearance: 0.45,
-            hazard_boxes: &[],
-            hazard_clearance: 0.27,
-            sample_step: 0.5,
-        };
-        let rewarmed =
-            planner.plan_with_scratch(&mut checker, start, goal, &bounds, &mut scratch, Some(&warm));
-        prop_assert!(rewarmed.rebased);
-        prop_assert_eq!(rewarmed.pruned_nodes, 0);
-        prop_assert_eq!(rewarmed.retained_nodes, cold.tree_size + 1);
-        if rewarmed.found() {
-            let mut verify = CollisionChecker::new(map, 0.45, 0.5);
-            prop_assert!(verify.path_free(&rewarmed.path));
-            let length: f64 = rewarmed.path.windows(2).map(|w| w[0].distance(w[1])).sum();
-            prop_assert!((length - rewarmed.cost).abs() < 1e-6);
-        }
-    }
-
-    /// A warm replan across a real map delta (new voxels integrated into
-    /// the occupancy map) must never emit a path through the added
-    /// voxels: the retained edges it reuses were pruned against exactly
-    /// the boxes `added_boxes_into` derives from the delta, so the final
-    /// path passes both the incremental `path_clear_of_added` check and
-    /// a from-scratch check against the new export.
-    #[test]
-    fn warm_replan_paths_clear_added_voxels(seed in 0u64..128,
-                                            block_lo in 2.0f64..6.0,
-                                            block_span in 1.0f64..4.0) {
-        let origin = Vec3::new(0.0, 0.0, 5.0);
-        let mut occ = OccupancyMap::new(0.5);
-        let mut points = Vec::new();
-        // Gap off the start→goal axis so every plan must grow a tree.
-        for yi in -40..=40 {
-            let y = yi as f64 * 0.5;
-            if (2.0..=8.0).contains(&y) {
-                continue;
-            }
-            for zi in 0..20 {
-                points.push(Vec3::new(20.0, y, zi as f64 * 0.5));
-            }
-        }
-        occ.integrate_cloud(&PointCloud::new(origin, points), 1.0);
-        let v1 = PlannerMap::export(&occ, &ExportConfig::new(0.5, 1e9, origin));
-
-        let planner = RrtStar::new(RrtConfig {
-            seed,
-            warm_start: true,
-            informed_sampling: true,
-            refine_samples: 128,
-            ..RrtConfig::default()
-        });
-        let start = Vec3::new(0.0, 0.0, 5.0);
-        let goal = Vec3::new(40.0, 0.0, 5.0);
-        let bounds = Aabb::new(Vec3::new(-5.0, -25.0, 1.0), Vec3::new(45.0, 25.0, 11.0));
-        let mut checker = CollisionChecker::new(v1.clone(), 0.45, 0.5);
-        let mut scratch = PlannerScratch::new();
-        let cold = planner.plan_with_scratch(&mut checker, start, goal, &bounds, &mut scratch, None);
-        prop_assume!(cold.found());
-
-        // Close part of the gap: new voxels over y ∈ [block_lo, block_lo + span].
-        let mut extra = Vec::new();
-        for yi in 0..=40 {
-            let y = yi as f64 * 0.25;
-            if y < block_lo || y > block_lo + block_span {
-                continue;
-            }
-            for zi in 0..20 {
-                extra.push(Vec3::new(20.0, y, zi as f64 * 0.5));
-            }
-        }
-        occ.integrate_cloud(&PointCloud::new(origin, extra), 1.0);
-        let v2 = PlannerMap::export(&occ, &ExportConfig::new(0.5, 1e9, origin));
-        let delta = v2.delta_from(&v1).expect("same voxel size");
-        let mut added = Vec::new();
-        CollisionChecker::added_boxes_into(&delta, &mut added);
-        prop_assume!(!added.is_empty());
-
-        checker.update_map(v2.clone());
-        let warm = WarmStart {
-            added_boxes: &added,
-            added_clearance: 0.45,
-            hazard_boxes: &[],
-            hazard_clearance: 0.27,
-            sample_step: 0.5,
-        };
-        let rewarmed =
-            planner.plan_with_scratch(&mut checker, start, goal, &bounds, &mut scratch, Some(&warm));
-        if rewarmed.found() {
-            prop_assert!(
-                CollisionChecker::path_clear_of_added(
-                    &delta,
-                    rewarmed.path.iter().copied(),
-                    0.45,
-                    0.5
-                ),
-                "warm path crosses an added voxel"
-            );
-            let mut verify = CollisionChecker::new(v2, 0.45, 0.5);
-            prop_assert!(verify.path_free(&rewarmed.path));
-        }
-    }
 
     /// Satellite conformance for the incremental broad-phase: a random
     /// sequence of `PlannerMap` delta applications (growing scans plus a
