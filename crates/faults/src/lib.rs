@@ -32,8 +32,9 @@
 //!
 //! | channel | injection point |
 //! |---------|-----------------|
-//! | sensor blackout / burst | between the camera rig and cloud integration |
-//! | bus loss / duplication / delay | [`MessageBus::publish`](roborun_middleware::MessageBus) via [`FaultyBus`] |
+//! | sensor blackout / burst | [`FaultFrame::sense_sweep`], between the camera rig and cloud integration |
+//! | fog | [`FaultFrame::sense_sweep`] drops returns beyond the cap; the profiling stage caps the profiled visibility |
+//! | bus loss / duplication / delay | [`MessageBus::publish`](roborun_middleware::MessageBus::publish), through the [`DeterministicLinkFaults`] model installed with [`MessageBus::install_link_faults`](roborun_middleware::MessageBus::install_link_faults) |
 //! | planner spike / forced failure | around the planner call, charged to the planning latency |
 //! | stale map | the map-integration step of the perception operators |
 //!
@@ -51,8 +52,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use roborun_geom::SplitMix64;
-use roborun_middleware::{LinkDisposition, LinkFaultModel, MessageBus, TopicName};
+use roborun_geom::{SplitMix64, Vec3};
+use roborun_middleware::{LinkDisposition, LinkFaultModel, TopicName};
 use serde::{Deserialize, Serialize};
 
 /// Per-channel salts folded into the plan seed so channels draw from
@@ -102,7 +103,8 @@ impl FaultWindows {
     }
 }
 
-/// Perception-side faults: full sensor blackouts and depth-noise bursts.
+/// Perception-side faults: full sensor blackouts, depth-noise bursts and
+/// fog.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct SensorFaultChannel {
     /// Decisions on which the whole sweep is lost (no depth returns at
@@ -115,6 +117,9 @@ pub struct SensorFaultChannel {
     pub burst_dropout: f64,
     /// Radial noise standard deviation during a burst (metres).
     pub burst_noise_std: f64,
+    /// Fog, on every decision: depth returns beyond this range (metres)
+    /// are lost, and the profiled visibility is capped at it.
+    pub fog_visibility_cap: Option<f64>,
 }
 
 /// Planning-side faults: latency spikes and forced plan failures.
@@ -224,10 +229,49 @@ impl FaultPlanConfig {
         FaultPlanConfig::default()
     }
 
+    /// A foggy mission: visibility capped at `cap` metres (at least 1 m)
+    /// and mild range noise on every decision.
+    pub fn fog(cap: f64) -> Self {
+        FaultPlanConfig {
+            sensor: SensorFaultChannel {
+                burst: Some(FaultWindows::every(1, 1)),
+                burst_noise_std: 0.05,
+                fog_visibility_cap: Some(cap.max(1.0)),
+                ..SensorFaultChannel::default()
+            },
+            ..FaultPlanConfig::default()
+        }
+    }
+
+    /// A flaky sensing stack: a `sweep_dropout` share of decisions lose
+    /// the whole sweep (a blackout window with that duty cycle, to the
+    /// nearest percent: 0.1 is one decision in every 10), and on the
+    /// others each return is lost with probability `point_dropout` and
+    /// the survivors carry range noise. Both shares are clamped to
+    /// `[0, 1]`.
+    pub fn flaky_sensors(sweep_dropout: f64, point_dropout: f64) -> Self {
+        let lost_percent = (sweep_dropout.clamp(0.0, 1.0) * 100.0).round() as u64;
+        let blackout = (lost_percent > 0).then(|| {
+            let g = gcd(lost_percent, 100);
+            FaultWindows::every(100 / g, lost_percent / g)
+        });
+        FaultPlanConfig {
+            sensor: SensorFaultChannel {
+                blackout,
+                burst: Some(FaultWindows::every(1, 1)),
+                burst_dropout: point_dropout.clamp(0.0, 1.0),
+                burst_noise_std: 0.08,
+                fog_visibility_cap: None,
+            },
+            ..FaultPlanConfig::default()
+        }
+    }
+
     /// `true` when every channel is disabled; healthy plans must not be
     /// armed so that faults-off runs stay byte-identical.
     pub fn is_healthy(&self) -> bool {
         self.sensor.blackout.is_none()
+            && self.sensor.fog_visibility_cap.is_none()
             && (self.sensor.burst.is_none()
                 || (self.sensor.burst_dropout <= 0.0 && self.sensor.burst_noise_std <= 0.0))
             && (self.planner.spike.is_none() || self.planner.spike_latency <= 0.0)
@@ -242,7 +286,8 @@ impl FaultPlanConfig {
     ///
     /// Returns a description of the first invalid field: degenerate
     /// windows, probabilities outside `[0, 1]`, negative or non-finite
-    /// latencies, or invalid topic names on the bus channel.
+    /// latencies, a fog cap that is not finite and positive, or invalid
+    /// topic names on the bus channel.
     pub fn validate(&self) -> Result<(), String> {
         if let Some(w) = &self.sensor.blackout {
             w.validate("sensor.blackout")?;
@@ -259,6 +304,13 @@ impl FaultPlanConfig {
                 return Err(format!(
                     "sensor.burst_noise_std must be non-negative, got {}",
                     self.sensor.burst_noise_std
+                ));
+            }
+        }
+        if let Some(cap) = self.sensor.fog_visibility_cap {
+            if !(cap.is_finite() && cap > 0.0) {
+                return Err(format!(
+                    "sensor.fog_visibility_cap must be finite and positive, got {cap}"
                 ));
             }
         }
@@ -285,9 +337,8 @@ impl FaultPlanConfig {
     }
 }
 
-/// Burst-corruption parameters for one decision, ready to drive a
-/// deterministic per-decision corruptor (the mission side feeds these to
-/// `roborun_sim::FaultInjector`).
+/// Burst-corruption parameters for one decision (applied by
+/// [`FaultFrame::sense_sweep`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SensorBurst {
     /// Per-point dropout probability, in `[0, 1]`.
@@ -307,6 +358,9 @@ pub struct FaultFrame {
     pub sensor_blackout: bool,
     /// Surviving depth returns are corrupted with these parameters.
     pub sensor_burst: Option<SensorBurst>,
+    /// Fog: returns beyond this range are lost and the profiled
+    /// visibility is capped at it (metres).
+    pub fog_visibility_cap: Option<f64>,
     /// Extra planning latency charged this decision (seconds).
     pub planner_spike: f64,
     /// The planner call fails outright this decision.
@@ -320,6 +374,7 @@ impl FaultFrame {
     pub fn is_healthy(&self) -> bool {
         !self.sensor_blackout
             && self.sensor_burst.is_none()
+            && self.fog_visibility_cap.is_none()
             && self.planner_spike <= 0.0
             && !self.planner_failure
             && !self.map_stale
@@ -330,9 +385,50 @@ impl FaultFrame {
     pub fn injected_count(&self) -> usize {
         usize::from(self.sensor_blackout)
             + usize::from(self.sensor_burst.is_some())
+            + usize::from(self.fog_visibility_cap.is_some())
             + usize::from(self.planner_spike > 0.0)
             + usize::from(self.planner_failure)
             + usize::from(self.map_stale)
+    }
+
+    /// The one sensor-fault injection point of both mission drivers: the
+    /// depth returns this decision's sensing yields from `origin`.
+    ///
+    /// A blackout loses the whole sweep (`capture` is not even called).
+    /// Otherwise each captured point goes, in order, through the burst's
+    /// dropout draw, the fog cut and the burst's radial-noise draw, all
+    /// drawn from one [`SplitMix64`] seeded by the burst — so the result
+    /// is a pure function of `(plan seed, decision, captured points)`. A
+    /// frame with no sensor channel active returns the capture untouched.
+    pub fn sense_sweep(&self, origin: Vec3, capture: impl FnOnce() -> Vec<Vec3>) -> Vec<Vec3> {
+        if self.sensor_blackout {
+            return Vec::new();
+        }
+        let mut points = capture();
+        if self.sensor_burst.is_none() && self.fog_visibility_cap.is_none() {
+            return points;
+        }
+        let (dropout, noise_std, seed) = self
+            .sensor_burst
+            .map_or((0.0, 0.0, 0), |b| (b.dropout, b.noise_std, b.seed));
+        let cap = self.fog_visibility_cap.unwrap_or(f64::INFINITY);
+        let mut rng = SplitMix64::new(seed);
+        points.retain_mut(|p| {
+            if dropout > 0.0 && rng.chance(dropout) {
+                return false;
+            }
+            let offset = *p - origin;
+            let range = offset.norm();
+            if range > cap {
+                return false;
+            }
+            if noise_std > 0.0 && range > 1e-9 {
+                let noisy_range = (range + rng.gaussian_with(0.0, noise_std)).max(0.05);
+                *p = origin + offset * (noisy_range / range);
+            }
+            true
+        });
+        points
     }
 }
 
@@ -419,6 +515,7 @@ impl FaultPlan {
         FaultFrame {
             sensor_blackout,
             sensor_burst,
+            fog_visibility_cap: sensor.fog_visibility_cap,
             planner_spike,
             planner_failure,
             map_stale,
@@ -426,12 +523,22 @@ impl FaultPlan {
     }
 
     /// A bus fault model for this plan, or `None` when the bus channel is
-    /// healthy. Install on a [`MessageBus`] (or use [`FaultyBus`]).
+    /// healthy. Install it with
+    /// [`MessageBus::install_link_faults`](roborun_middleware::MessageBus::install_link_faults).
     pub fn link_faults(&self) -> Option<DeterministicLinkFaults> {
         (!self.config.bus.is_healthy()).then(|| DeterministicLinkFaults {
             seed: self.config.seed,
             links: self.config.bus.links.clone(),
         })
+    }
+}
+
+/// Greatest common divisor (for reducing a duty cycle to its window).
+fn gcd(a: u64, b: u64) -> u64 {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
     }
 }
 
@@ -492,39 +599,6 @@ impl LinkFaultModel for DeterministicLinkFaults {
     }
 }
 
-/// A [`MessageBus`] with a fault plan's link model pre-installed.
-///
-/// The wrapper derefs to the underlying bus, so every typed
-/// [`BusError`](roborun_middleware::BusError) surface is unchanged —
-/// publishes on a lossy link still return `Ok` (loss is silent, as on a
-/// real wire), while structural failures (`BusClosed`, `TypeMismatch`,
-/// `PayloadTypeCorrupted`, …) propagate exactly as on a healthy bus.
-#[derive(Debug, Clone)]
-pub struct FaultyBus {
-    bus: MessageBus,
-}
-
-impl FaultyBus {
-    /// Wraps `bus`, installing `faults` as its link model.
-    pub fn new(bus: MessageBus, faults: DeterministicLinkFaults) -> Self {
-        bus.install_link_faults(Box::new(faults));
-        FaultyBus { bus }
-    }
-
-    /// A cheap clone of the underlying bus handle (for node construction).
-    pub fn bus(&self) -> MessageBus {
-        self.bus.clone()
-    }
-}
-
-impl std::ops::Deref for FaultyBus {
-    type Target = MessageBus;
-
-    fn deref(&self) -> &MessageBus {
-        &self.bus
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,6 +610,7 @@ mod tests {
                 burst: Some(FaultWindows::every(17, 5)),
                 burst_dropout: 0.4,
                 burst_noise_std: 0.1,
+                fog_visibility_cap: None,
             },
             planner: PlannerFaultChannel {
                 spike: Some(FaultWindows::every(23, 4)),
@@ -635,6 +710,7 @@ mod tests {
                 burst: Some(FaultWindows::every(1, 1)),
                 burst_dropout: 0.5,
                 burst_noise_std: 0.0,
+                fog_visibility_cap: None,
             },
             ..FaultPlanConfig::default()
         });
@@ -680,18 +756,223 @@ mod tests {
         assert!((60..180).contains(&dropped), "dropped {dropped} of 400");
     }
 
+    fn ring_of_points(origin: Vec3, count: usize, range: f64) -> Vec<Vec3> {
+        (0..count)
+            .map(|i| {
+                let angle = i as f64 / count as f64 * std::f64::consts::TAU;
+                origin + Vec3::new(angle.cos() * range, angle.sin() * range, 0.0)
+            })
+            .collect()
+    }
+
+    fn burst_frame(dropout: f64, noise_std: f64, seed: u64) -> FaultFrame {
+        FaultFrame {
+            sensor_burst: Some(SensorBurst {
+                dropout,
+                noise_std,
+                seed,
+            }),
+            ..FaultFrame::default()
+        }
+    }
+
+    /// FNV-1a over the point count and every coordinate's bit pattern.
+    fn points_hash(points: &[Vec3]) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        let mut eat = |bits: u64| {
+            for b in bits.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        eat(points.len() as u64);
+        for p in points {
+            eat(p.x.to_bits());
+            eat(p.y.to_bits());
+            eat(p.z.to_bits());
+        }
+        h
+    }
+
     #[test]
-    fn faulty_bus_derefs_to_the_wrapped_bus() {
-        let plan = FaultPlan::new(armed_plan());
-        let bus = FaultyBus::new(
-            MessageBus::with_free_transport(),
-            plan.link_faults().unwrap(),
+    fn burst_corruption_is_pinned() {
+        // Recorded from the burst corruptor the mission drivers used
+        // before it moved here (a one-shot stateful injector seeded by
+        // the burst): the draw order and values must not change, or
+        // every bursty mission (the blackout-corridor fault family
+        // among them) drifts.
+        let origin = Vec3::new(1.5, -2.0, 5.0);
+        let mut rng = SplitMix64::new(42);
+        let mut points: Vec<Vec3> = (0..400)
+            .map(|_| {
+                origin
+                    + Vec3::new(
+                        rng.uniform(-20.0, 20.0),
+                        rng.uniform(-20.0, 20.0),
+                        rng.uniform(-4.0, 4.0),
+                    )
+            })
+            .collect();
+        // A return at the origin has no ray to perturb along.
+        points.push(origin);
+        let pins: [(f64, f64, u64, usize, u64); 9] = [
+            (0.0, 0.3, 0x1, 401, 0x2fad_9b97_55d4_772c),
+            (0.0, 0.3, 0x5eed_fa17, 401, 0x3f7c_afaf_32af_14fe),
+            (0.0, 0.3, 0xdead_beef, 401, 0x2124_0b93_7f1d_964f),
+            (0.5, 0.0, 0x1, 185, 0x22bb_90ca_06f9_3d0c),
+            (0.5, 0.0, 0x5eed_fa17, 213, 0xcdd8_d83c_436e_8785),
+            (0.5, 0.0, 0xdead_beef, 207, 0x519b_0e1e_41c6_3ec5),
+            (0.5, 0.3, 0x1, 182, 0x8a9d_bd8d_60b9_a9c2),
+            (0.5, 0.3, 0x5eed_fa17, 200, 0x737e_3d2d_68ba_6940),
+            (0.5, 0.3, 0xdead_beef, 213, 0xffb7_eeff_0e64_a063),
+        ];
+        for (dropout, noise_std, seed, len, hash) in pins {
+            let out = burst_frame(dropout, noise_std, seed).sense_sweep(origin, || points.clone());
+            assert_eq!(
+                (out.len(), points_hash(&out)),
+                (len, hash),
+                "dropout {dropout}, noise {noise_std}, seed {seed:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn healthy_frame_passes_the_capture_through() {
+        let origin = Vec3::new(0.0, 0.0, 5.0);
+        let points = ring_of_points(origin, 40, 12.0);
+        let out = FaultFrame::default().sense_sweep(origin, || points.clone());
+        assert_eq!(out, points);
+    }
+
+    #[test]
+    fn blackout_loses_the_sweep_without_capturing() {
+        let frame = FaultFrame {
+            sensor_blackout: true,
+            ..burst_frame(0.5, 0.1, 3)
+        };
+        let out = frame.sense_sweep(Vec3::ZERO, || unreachable!("blacked-out sweep captured"));
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn fog_removes_far_points_and_keeps_near_ones() {
+        let origin = Vec3::new(0.0, 0.0, 5.0);
+        let near = ring_of_points(origin, 20, 6.0);
+        let mut all = near.clone();
+        all.extend(ring_of_points(origin, 20, 25.0));
+        let fog = FaultFrame {
+            fog_visibility_cap: Some(10.0),
+            ..FaultFrame::default()
+        };
+        let out = fog.sense_sweep(origin, || all);
+        // No burst: the near returns survive bit for bit.
+        assert_eq!(out, near);
+    }
+
+    #[test]
+    fn fog_cuts_after_the_dropout_draw_and_before_the_noise_draw() {
+        let origin = Vec3::ZERO;
+        let fogged = |frame: FaultFrame| FaultFrame {
+            fog_visibility_cap: Some(10.0),
+            ..frame
+        };
+        // Returns alternate inside (8 m) and beyond (15 m) the cap. Every
+        // return takes its dropout draw, so fog removes exactly the far
+        // survivors of the same draws.
+        let points: Vec<Vec3> = ring_of_points(origin, 400, 8.0)
+            .into_iter()
+            .zip(ring_of_points(origin, 400, 15.0))
+            .flat_map(|(near, far)| [near, far])
+            .collect();
+        let clear = burst_frame(0.3, 0.0, 9).sense_sweep(origin, || points.clone());
+        let foggy = fogged(burst_frame(0.3, 0.0, 9)).sense_sweep(origin, || points.clone());
+        let near: Vec<Vec3> = clear
+            .into_iter()
+            .filter(|p| p.distance(origin) <= 10.0)
+            .collect();
+        assert_eq!(foggy, near);
+        // Noise is drawn after the cut: returns just inside the cap
+        // survive even when the noise pushes them past it.
+        let edge = ring_of_points(origin, 400, 9.95);
+        let out = fogged(burst_frame(0.0, 0.1, 9)).sense_sweep(origin, || edge.clone());
+        assert_eq!(out.len(), edge.len());
+        assert!(out.iter().any(|p| p.distance(origin) > 10.0));
+    }
+
+    #[test]
+    fn point_dropout_removes_roughly_the_requested_fraction() {
+        let origin = Vec3::ZERO;
+        let points = ring_of_points(origin, 2_000, 8.0);
+        let out = burst_frame(0.5, 0.0, 0x5EED).sense_sweep(origin, || points.clone());
+        let kept = out.len() as f64 / points.len() as f64;
+        assert!((0.4..0.6).contains(&kept), "kept fraction {kept}");
+    }
+
+    #[test]
+    fn range_noise_perturbs_along_the_ray() {
+        let origin = Vec3::new(1.0, 2.0, 5.0);
+        let points = ring_of_points(origin, 200, 10.0);
+        let out = burst_frame(0.0, 0.2, 0x5EED).sense_sweep(origin, || points.clone());
+        assert_eq!(out.len(), points.len());
+        let mean_range: f64 =
+            out.iter().map(|p| p.distance(origin)).sum::<f64>() / out.len() as f64;
+        assert!((mean_range - 10.0).abs() < 0.2, "mean range {mean_range}");
+        // Direction is preserved: each noisy point stays on its original ray.
+        for (noisy, original) in out.iter().zip(points.iter()) {
+            let a = (*noisy - origin).normalize();
+            let b = (*original - origin).normalize();
+            assert!(a.dot(b) > 0.999);
+        }
+    }
+
+    #[test]
+    fn sensing_is_a_pure_function_of_the_plan_and_decision() {
+        let plan = FaultPlan::new(FaultPlanConfig::flaky_sensors(0.1, 0.3));
+        let origin = Vec3::ZERO;
+        let points = ring_of_points(origin, 500, 15.0);
+        let sweeps = |order: &mut dyn Iterator<Item = u64>| {
+            let mut out: Vec<(u64, Vec<Vec3>)> = order
+                .map(|d| (d, plan.frame(d).sense_sweep(origin, || points.clone())))
+                .collect();
+            out.sort_by_key(|(d, _)| *d);
+            out
+        };
+        let forward = sweeps(&mut (0..40));
+        assert_eq!(forward, sweeps(&mut (0..40).rev()));
+        // One decision in ten loses the sweep; the rest lose some points.
+        let lost = forward.iter().filter(|(_, s)| s.is_empty()).count();
+        assert_eq!(lost, 4);
+        assert!(forward
+            .iter()
+            .all(|(_, s)| s.is_empty() || (s.len() > 250 && s.len() < 500)));
+    }
+
+    #[test]
+    fn sensing_presets_map_onto_plan_channels() {
+        let fog = FaultPlanConfig::fog(12.0);
+        assert!(!fog.is_healthy());
+        assert!(fog.validate().is_ok());
+        let frame = FaultPlan::new(fog).frame(17);
+        assert_eq!(frame.fog_visibility_cap, Some(12.0));
+        assert_eq!(frame.sensor_burst.map(|b| b.noise_std), Some(0.05));
+        assert_eq!(frame.injected_count(), 2);
+        // The fog floor: a cap under 1 m is raised to 1 m.
+        assert_eq!(
+            FaultPlanConfig::fog(0.2).sensor.fog_visibility_cap,
+            Some(1.0)
         );
-        let _node = roborun_middleware::Node::new(&bus, "talker").unwrap();
-        let clone = bus.bus();
-        assert_eq!(clone.now(), bus.now());
-        bus.shutdown();
-        assert!(clone.is_shutdown());
+
+        let blackout = |p: f64| FaultPlanConfig::flaky_sensors(p, 0.3).sensor.blackout;
+        assert_eq!(blackout(0.1), Some(FaultWindows::every(10, 1)));
+        assert_eq!(blackout(0.05), Some(FaultWindows::every(20, 1)));
+        assert_eq!(blackout(0.3), Some(FaultWindows::every(10, 3)));
+        assert_eq!(blackout(1.5), Some(FaultWindows::every(1, 1)));
+        assert_eq!(blackout(0.0), None);
+        let flaky = FaultPlanConfig::flaky_sensors(0.0, 0.2);
+        assert_eq!(flaky.sensor.burst_dropout, 0.2);
+        assert_eq!(flaky.sensor.burst_noise_std, 0.08);
+        assert!(!flaky.is_healthy());
+        assert!(flaky.validate().is_ok());
     }
 
     #[test]
@@ -708,6 +989,18 @@ mod tests {
         let mut bad = armed_plan();
         bad.bus.links[0].0 = "not a topic".to_string();
         assert!(bad.validate().is_err());
+        let mut bad = armed_plan();
+        bad.sensor.burst_dropout = 1.5;
+        assert!(bad.validate().is_err());
+        let mut bad = armed_plan();
+        bad.sensor.burst_noise_std = -0.1;
+        assert!(bad.validate().is_err());
+        for cap in [0.0, -3.0, f64::NAN, f64::INFINITY] {
+            let mut bad = armed_plan();
+            bad.sensor.fog_visibility_cap = Some(cap);
+            let err = bad.validate().unwrap_err();
+            assert!(err.contains("fog_visibility_cap"), "{err}");
+        }
         assert!(armed_plan().validate().is_ok());
     }
 

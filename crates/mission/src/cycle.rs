@@ -124,10 +124,13 @@
 //! keeping healthy missions bit-identical to the pre-fault behaviour
 //! (locked by all golden fixtures):
 //!
-//! * **Sensor blackout / bursts** hit the sensing stage: a blackout
-//!   loses the whole sweep and withholds map integration; a burst
-//!   corrupts the surviving depth returns through a per-decision
-//!   deterministic corruptor.
+//! * **Sensor blackout / bursts / fog** hit the sensing stage of both
+//!   drivers through one function,
+//!   [`FaultFrame::sense_sweep`](roborun_faults::FaultFrame::sense_sweep):
+//!   a blackout loses the whole sweep and withholds map integration; a
+//!   burst drops and range-noises the returns from a per-decision
+//!   stream; fog drops returns beyond its cap, and the profiling stage
+//!   caps the profiled visibility at it.
 //! * **Stale-map epochs** withhold integration only: the planner keeps
 //!   exporting from the aging map.
 //! * **Planner latency spikes** inflate the modelled planning latency.
@@ -184,7 +187,7 @@ use roborun_core::{
 };
 use roborun_dynamics::{DynamicWorld, PoseCache};
 use roborun_env::{Environment, Zone};
-use roborun_faults::{FaultFrame, FaultPlan, SensorBurst};
+use roborun_faults::{FaultFrame, FaultPlan};
 use roborun_geom::{Aabb, Vec3};
 use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
 use roborun_planning::{
@@ -192,28 +195,20 @@ use roborun_planning::{
     PeerTrajectoryHazard, PlanError, PlanStats, Planner, PlannerConfig, PlannerScratch,
     PredictedHazards, RrtConfig, SamplingMix, Trajectory, TrajectoryPoint,
 };
-use roborun_sim::{
-    CameraRig, DroneConfig, DroneState, EnergyModel, FaultConfig, FaultInjector, LatencyBreakdown,
-    SimClock,
-};
+use roborun_sim::{CameraRig, DroneConfig, DroneState, EnergyModel, LatencyBreakdown, SimClock};
 use std::sync::mpsc::{Receiver, Sender};
 
 // ---------------------------------------------------------------------------
 // Shared per-decision policies (used by both drivers)
 // ---------------------------------------------------------------------------
 
-/// Builds the per-decision burst corruptor both drivers use for the
-/// fault plan's depth-noise bursts: a one-shot [`FaultInjector`] seeded
-/// from the burst parameters (pure in the burst, so the corruption is a
-/// deterministic function of `(plan seed, decision index)`).
-pub(crate) fn burst_injector(burst: SensorBurst) -> FaultInjector {
-    FaultInjector::new(FaultConfig {
-        sweep_dropout_probability: 0.0,
-        point_dropout_probability: burst.dropout,
-        range_noise_std: burst.noise_std,
-        fog_visibility_cap: f64::INFINITY,
-        seed: burst.seed,
-    })
+/// Caps the profiled visibility at the frame's fog cap: fog limits how
+/// far the MAV can trust its view, which the deadline equation must see.
+pub(crate) fn fogged(mut profile: SpatialProfile, frame: &FaultFrame) -> SpatialProfile {
+    if let Some(cap) = frame.fog_visibility_cap {
+        profile.visibility = profile.visibility.min(cap);
+    }
+    profile
 }
 
 /// Direction of travel used for the unknown-space probe: the current
@@ -935,7 +930,6 @@ pub(crate) struct DecisionCycle<'m> {
     planner_seed_base: u64,
     planning_margin: f64,
     baseline_velocity: f64,
-    fault_injector: Option<FaultInjector>,
     drone: DroneState,
     clock: SimClock,
     map: OccupancyMap,
@@ -1004,7 +998,6 @@ impl<'m> DecisionCycle<'m> {
             _ => cfg.camera_rig(),
         };
         let planner_seed_base = cfg.seed.wrapping_mul(0x9E37_79B9).wrapping_add(env.seed());
-        let fault_injector = (!cfg.faults.is_healthy()).then(|| FaultInjector::new(cfg.faults));
         let fault_plan =
             (!cfg.fault_plan.is_healthy()).then(|| FaultPlan::new(cfg.fault_plan.clone()));
         let drone = DroneState::at(env.start());
@@ -1032,7 +1025,6 @@ impl<'m> DecisionCycle<'m> {
             planner_seed_base,
             planning_margin,
             baseline_velocity,
-            fault_injector,
             flown_path: vec![drone.position],
             flown_times: vec![0.0],
             drone,
@@ -1117,42 +1109,32 @@ impl<'m> DecisionCycle<'m> {
     // ------------------------------------------------------------ stages
 
     /// Sensing: capture the camera rig (from the dynamic snapshot field
-    /// of the current instant when actors exist), apply sensor faults.
-    /// A fault-plan blackout loses the whole sweep; a burst corrupts the
-    /// surviving returns through a per-decision deterministic corruptor.
+    /// of the current instant when actors exist) through the fault
+    /// frame's sensor channels ([`FaultFrame::sense_sweep`]: a blackout
+    /// loses the whole sweep, bursts and fog corrupt the returns).
     fn sense(&mut self, frame: &FaultFrame) -> Sensed {
         let pose = self.drone.pose();
-        if frame.sensor_blackout {
-            return Sensed {
-                raw_cloud: PointCloud::new(pose.position, Vec::new()),
+        let points = frame.sense_sweep(pose.position, || {
+            let snapshot;
+            let field = match self.dynamics {
+                Some(world) if !world.is_static() => {
+                    snapshot = world.snapshot_field_cached(self.clock.now(), &mut self.pose_cache);
+                    &snapshot
+                }
+                _ => self.env.field(),
             };
-        }
-        let snapshot;
-        let field = match self.dynamics {
-            Some(world) if !world.is_static() => {
-                snapshot = world.snapshot_field_cached(self.clock.now(), &mut self.pose_cache);
-                &snapshot
-            }
-            _ => self.env.field(),
-        };
-        let scan = self.rig.capture(field, &pose);
-        let mut sensed_points = match self.fault_injector.as_mut() {
-            Some(injector) => injector.corrupt_sweep(pose.position, &scan.points),
-            None => scan.points.clone(),
-        };
-        if let Some(burst) = frame.sensor_burst {
-            sensed_points = burst_injector(burst).corrupt_sweep(pose.position, &sensed_points);
-        }
+            self.rig.capture(field, &pose).points
+        });
         Sensed {
-            raw_cloud: PointCloud::new(pose.position, sensed_points),
+            raw_cloud: PointCloud::new(pose.position, points),
         }
     }
 
     /// Profiling: the spatial profile the governor decides from.
-    fn profile(&self, sensed: &Sensed) -> SpatialProfile {
+    fn profile(&self, sensed: &Sensed, frame: &FaultFrame) -> SpatialProfile {
         let heading = direction_towards(self.drone.position, self.env.goal(), self.drone.velocity);
         let trajectory_ref = self.follower.as_ref().map(|f| f.trajectory().clone());
-        let mut profile = self.cfg.profilers.profile(
+        let profile = self.cfg.profilers.profile(
             &sensed.raw_cloud,
             &self.map,
             trajectory_ref.as_ref(),
@@ -1160,12 +1142,7 @@ impl<'m> DecisionCycle<'m> {
             self.drone.speed(),
             heading,
         );
-        if let Some(injector) = self.fault_injector.as_ref() {
-            // Fog also limits how far the MAV can trust its view, which
-            // the deadline equation must see.
-            profile.visibility = profile.visibility.min(injector.visibility_cap());
-        }
-        profile
+        fogged(profile, frame)
     }
 
     /// Governing: profile → policy.
@@ -1741,7 +1718,7 @@ impl<'m> DecisionCycle<'m> {
 
         // sense → profile → govern → operate → cost.
         let sensed = self.sense(&frame);
-        let profile = self.profile(&sensed);
+        let profile = self.profile(&sensed, &frame);
         let policy = self.govern(&profile);
         let knobs = policy.knobs;
         let stale_map = frame.sensor_blackout || frame.map_stale;

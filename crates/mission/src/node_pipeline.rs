@@ -41,7 +41,7 @@ use roborun_core::{
 };
 use roborun_dynamics::DynamicWorld;
 use roborun_env::{Environment, ObstacleField};
-use roborun_faults::{FaultFrame, FaultPlan, FaultyBus};
+use roborun_faults::{FaultFrame, FaultPlan};
 use roborun_geom::{Aabb, Vec3};
 use roborun_middleware::{
     CommLatencyModel, GraphInfo, Message, MessageBus, MiddlewareError, Node, Publisher, QosProfile,
@@ -257,21 +257,12 @@ impl SensorNode {
 
     fn spin(&self, field: &ObstacleField, drone: &DroneState, frame: &FaultFrame) {
         let pose = drone.pose();
-        let cloud = if frame.sensor_blackout {
-            // The whole sweep is lost: an empty cloud still crosses the
-            // bus (the frame header a real driver would publish), so
-            // downstream nodes observe the blackout rather than hanging.
-            PointCloud::new(pose.position, Vec::new())
-        } else {
-            let scan = self.rig.capture(field, &pose);
-            let points = match frame.sensor_burst {
-                Some(burst) => {
-                    cycle::burst_injector(burst).corrupt_sweep(pose.position, &scan.points)
-                }
-                None => scan.points,
-            };
-            PointCloud::new(pose.position, points)
-        };
+        // The same sensor-fault injection point as the direct driver. A
+        // blackout still publishes an empty cloud (the frame header a
+        // real driver would publish), so downstream nodes observe the
+        // blackout rather than hanging.
+        let points = frame.sense_sweep(pose.position, || self.rig.capture(field, &pose).points);
+        let cloud = PointCloud::new(pose.position, points);
         let _ = self.points_pub.publish(PointCloudMsg(cloud));
         let _ = self.odom_pub.publish(OdometryMsg {
             position: drone.position,
@@ -346,8 +337,9 @@ impl PerceptionNode {
     }
 
     /// First half of the perception stage: ingest the newest sensor data
-    /// and publish the profiled spatial state the governor needs.
-    fn profile_spin(&mut self, goal: Vec3) {
+    /// and publish the profiled spatial state the governor needs, its
+    /// visibility capped by the frame's fog like the direct driver's.
+    fn profile_spin(&mut self, goal: Vec3, frame: &FaultFrame) {
         if let Some(sample) = latest_checked(&self.cloud_sub, &mut self.corrupted) {
             self.latest_cloud = Some(sample.message.0);
             self.cloud_fresh = true;
@@ -370,7 +362,9 @@ impl PerceptionNode {
             odom.speed,
             heading,
         );
-        let _ = self.profile_pub.publish(ProfileMsg(profile));
+        let _ = self
+            .profile_pub
+            .publish(ProfileMsg(cycle::fogged(profile, frame)));
     }
 
     /// Second half of the perception stage: apply the governor's precision
@@ -1286,18 +1280,15 @@ impl NodePipeline {
         let cfg = &self.config.mission;
         let live = dynamics.filter(|world| !world.is_static());
         let mut pose_cache = dynamics.map(DynamicWorld::pose_cache).unwrap_or_default();
-        // An armed fault plan wraps the bus in its deterministic
-        // link-fault model (message loss / duplication / delay on the
+        // An armed fault plan installs its deterministic link-fault model
+        // on the bus (message loss / duplication / delay on the
         // configured topics); a healthy plan leaves the bus untouched.
         let fault_plan =
             (!cfg.fault_plan.is_healthy()).then(|| FaultPlan::new(cfg.fault_plan.clone()));
-        let bus = {
-            let bus = MessageBus::new(self.config.comm);
-            match fault_plan.as_ref().and_then(FaultPlan::link_faults) {
-                Some(model) => FaultyBus::new(bus, model).bus(),
-                None => bus,
-            }
-        };
+        let bus = MessageBus::new(self.config.comm);
+        if let Some(model) = fault_plan.as_ref().and_then(FaultPlan::link_faults) {
+            bus.install_link_faults(Box::new(model));
+        }
         let governor = Governor::new(cfg.governor_config());
         let map_resolution = governor.config().ranges.precision_min;
 
@@ -1371,7 +1362,7 @@ impl NodePipeline {
                 None => env.field(),
             };
             sensor.spin(sense_field, &drone, &frame);
-            perception.profile_spin(env.goal());
+            perception.profile_spin(env.goal(), &frame);
             let Some(policy) = runtime.spin() else { break };
             let stale_map = frame.sensor_blackout || frame.map_stale;
             if perception.map_spin(stale_map) {

@@ -28,9 +28,9 @@
 //! `collect` present rows in (request order, row order). The service's
 //! observable output is therefore bit-identical for a given (seed,
 //! request order), whatever the shard count, thread scheduling or
-//! submission timing. A one-shard service and a batch
-//! [`crate::sweep::run_sweep_serial`] call produce the same rows bit for
-//! bit.
+//! submission timing. A one-shard service and a serial batch
+//! [`crate::sweep::run_sweep`] call (`threads: Some(1)`) produce the same
+//! rows bit for bit.
 //!
 //! A panic inside a row is captured on the shard, recorded against its
 //! request with the failing row index, and resumed on the caller's
@@ -474,7 +474,8 @@ fn collector_loop(shared: &ServiceShared, publisher: &Publisher<RowMessage>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::run_sweep_serial;
+    use crate::sweep::run_sweep;
+    use roborun_faults::{FaultPlanConfig, FaultWindows};
 
     fn tiny_request(seed: u64) -> SweepConfig {
         let mut config = SweepConfig::quick(seed);
@@ -491,7 +492,10 @@ mod tests {
         let config = tiny_request(31);
         let id = service.submit(config.clone()).expect("valid request");
         let results = service.collect(id);
-        let reference = run_sweep_serial(&config);
+        let reference = run_sweep(&SweepConfig {
+            threads: Some(1),
+            ..config.clone()
+        });
         assert_eq!(results.rows(), reference.rows());
         service.shutdown();
         let streamed: Vec<RowMessage> =
@@ -513,6 +517,35 @@ mod tests {
             .submit(config)
             .expect_err("NaN knob must be rejected");
         assert!(matches!(err, SweepError::NonFiniteKnob { index: 0, .. }));
+        service.shutdown();
+    }
+
+    #[test]
+    fn invalid_fault_plans_are_rejected_at_submission() {
+        let service = MissionService::start(ServiceConfig { shards: 1 });
+        let mut config = tiny_request(1);
+        config.oblivious.fault_plan = FaultPlanConfig::fog(12.0);
+        config.oblivious.fault_plan.sensor.blackout = Some(FaultWindows::every(10, 11));
+        let err = service
+            .submit(config.clone())
+            .expect_err("a malformed fault plan must be rejected");
+        match &err {
+            SweepError::InvalidFaultPlan { template, message } => {
+                assert_eq!(*template, "oblivious");
+                assert!(message.contains("sensor.blackout"), "{message}");
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+        assert!(err.to_string().contains("oblivious"));
+        config.oblivious.fault_plan = FaultPlanConfig::healthy();
+        config.aware.fault_plan.sensor.fog_visibility_cap = Some(f64::NAN);
+        assert!(matches!(
+            service.submit(config),
+            Err(SweepError::InvalidFaultPlan {
+                template: "aware",
+                ..
+            })
+        ));
         service.shutdown();
     }
 }

@@ -28,6 +28,15 @@ pub enum SweepError {
     },
     /// The difficulty list is empty: the request describes no missions.
     NoEnvironments,
+    /// A mission template carries an invalid fault plan, which would
+    /// panic when the first mission arms it.
+    InvalidFaultPlan {
+        /// The offending template: `"aware"` or `"oblivious"`.
+        template: &'static str,
+        /// [`FaultPlanConfig::validate`](roborun_faults::FaultPlanConfig::validate)'s
+        /// description of the first invalid field.
+        message: String,
+    },
 }
 
 impl std::fmt::Display for SweepError {
@@ -37,6 +46,9 @@ impl std::fmt::Display for SweepError {
                 write!(f, "difficulty #{index} has a non-finite {knob} ({value})")
             }
             SweepError::NoEnvironments => write!(f, "no difficulty configurations to sweep"),
+            SweepError::InvalidFaultPlan { template, message } => {
+                write!(f, "invalid {template} fault plan: {message}")
+            }
         }
     }
 }
@@ -78,7 +90,9 @@ pub struct SweepConfig {
     /// Mission configuration template for the spatial-oblivious runs.
     pub oblivious: MissionConfig,
     /// Worker threads for [`run_sweep`]; `None` picks the machine's
-    /// available parallelism. `Some(1)` forces the serial path.
+    /// available parallelism. `Some(1)` runs the rows in a plain serial
+    /// loop on the calling thread: the reference the pooled runs are
+    /// tested against.
     pub threads: Option<usize>,
 }
 
@@ -126,12 +140,19 @@ impl SweepConfig {
     }
 
     /// Up-front validation: every difficulty knob finite, at least one
-    /// environment. [`run_sweep`] asserts this before spawning workers
-    /// (so a NaN knob fails fast with a typed message instead of
-    /// panicking mid-sweep inside a worker thread), and the mission
+    /// environment, and a valid fault plan on both templates.
+    /// [`run_sweep`] asserts this before spawning workers (so a NaN knob
+    /// or a malformed fault plan fails fast with a typed message instead
+    /// of panicking mid-sweep inside a worker thread), and the mission
     /// service validates requests with the same check at submission.
     pub fn validate(&self) -> Result<(), SweepError> {
-        validate_difficulties(&self.difficulties)
+        validate_difficulties(&self.difficulties)?;
+        for (template, cfg) in [("aware", &self.aware), ("oblivious", &self.oblivious)] {
+            cfg.fault_plan
+                .validate()
+                .map_err(|message| SweepError::InvalidFaultPlan { template, message })?;
+        }
+        Ok(())
     }
 }
 
@@ -278,8 +299,8 @@ pub(crate) fn run_sweep_row(config: &SweepConfig, i: usize) -> SweepRow {
 ///
 /// Environments are evaluated in parallel on a scoped worker pool (rows
 /// already own their seeds, so the result is bit-identical to the serial
-/// reference — [`run_sweep_serial`] — and rows stay in configuration
-/// order). `config.threads` overrides the worker count.
+/// reference, `threads: Some(1)`, and rows stay in configuration order).
+/// `config.threads` overrides the worker count.
 ///
 /// # Panics
 ///
@@ -382,23 +403,6 @@ fn pooled_rows<R: Send>(
         .collect()
 }
 
-/// The retained serial reference for [`run_sweep`]: one environment at a
-/// time, in configuration order.
-///
-/// # Panics
-///
-/// Panics up front on an invalid configuration, like [`run_sweep`].
-pub fn run_sweep_serial(config: &SweepConfig) -> SweepResults {
-    if let Err(err) = config.validate() {
-        panic!("invalid sweep config: {err}");
-    }
-    SweepResults {
-        rows: (0..config.difficulties.len())
-            .map(|i| run_sweep_row(config, i))
-            .collect(),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The dynamic (moving-obstacle) sweep
 // ---------------------------------------------------------------------------
@@ -471,19 +475,12 @@ fn run_dynamic_sweep_row(config: &DynamicSweepConfig, i: usize) -> DynamicSweepR
 
 /// Runs the moving-obstacle sweep: every `(family, seed)` case, both
 /// designs, on the same scoped worker pool as [`run_sweep`] (rows own
-/// their seeds, so results are bit-identical to
-/// [`run_dynamic_sweep_serial`] and stay in case order).
+/// their seeds, so results are bit-identical to a `threads: Some(1)` run
+/// and stay in case order).
 pub fn run_dynamic_sweep(config: &DynamicSweepConfig) -> Vec<DynamicSweepRow> {
     pooled_rows(config.cases.len(), config.threads, |i| {
         run_dynamic_sweep_row(config, i)
     })
-}
-
-/// The retained serial reference for [`run_dynamic_sweep`].
-pub fn run_dynamic_sweep_serial(config: &DynamicSweepConfig) -> Vec<DynamicSweepRow> {
-    (0..config.cases.len())
-        .map(|i| run_dynamic_sweep_row(config, i))
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -570,19 +567,12 @@ fn run_fault_sweep_row(config: &FaultSweepConfig, i: usize) -> FaultSweepRow {
 
 /// Runs the fault sweep: every `(family, seed)` case, fault-oblivious
 /// and degradation-aware, on the shared worker pool (rows own their
-/// seeds, so results are bit-identical to [`run_fault_sweep_serial`] and
+/// seeds, so results are bit-identical to a `threads: Some(1)` run and
 /// stay in case order).
 pub fn run_fault_sweep(config: &FaultSweepConfig) -> Vec<FaultSweepRow> {
     pooled_rows(config.cases.len(), config.threads, |i| {
         run_fault_sweep_row(config, i)
     })
-}
-
-/// The retained serial reference for [`run_fault_sweep`].
-pub fn run_fault_sweep_serial(config: &FaultSweepConfig) -> Vec<FaultSweepRow> {
-    (0..config.cases.len())
-        .map(|i| run_fault_sweep_row(config, i))
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -689,21 +679,13 @@ fn run_dynamic_matrix_cell(
 }
 
 /// Runs the dynamic difficulty matrix on the shared worker pool (cells
-/// own their seeds, so results are bit-identical to
-/// [`run_dynamic_matrix_serial`] and stay in cell order).
+/// own their seeds, so results are bit-identical to a `threads: Some(1)`
+/// run and stay in cell order).
 pub fn run_dynamic_matrix(config: &DynamicMatrixConfig) -> Vec<DynamicMatrixRow> {
     let cells = config.cells();
     pooled_rows(cells.len(), config.threads, |i| {
         run_dynamic_matrix_cell(config, &cells[i], i)
     })
-}
-
-/// The retained serial reference for [`run_dynamic_matrix`].
-pub fn run_dynamic_matrix_serial(config: &DynamicMatrixConfig) -> Vec<DynamicMatrixRow> {
-    let cells = config.cells();
-    (0..cells.len())
-        .map(|i| run_dynamic_matrix_cell(config, &cells[i], i))
-        .collect()
 }
 
 #[cfg(test)]
@@ -728,7 +710,10 @@ mod tests {
         config.oblivious.max_decisions = 1_000;
         config.threads = Some(3);
         let parallel = run_sweep(&config);
-        let serial = run_sweep_serial(&config);
+        let serial = run_sweep(&SweepConfig {
+            threads: Some(1),
+            ..config.clone()
+        });
         assert_eq!(parallel.rows().len(), serial.rows().len());
         for (p, s) in parallel.rows().iter().zip(serial.rows()) {
             assert_eq!(p, s);
@@ -813,7 +798,10 @@ mod tests {
         }
         // Rows own their seeds: the pooled run matches the serial
         // reference bit for bit.
-        let serial = run_dynamic_matrix_serial(&config);
+        let serial = run_dynamic_matrix(&DynamicMatrixConfig {
+            threads: Some(1),
+            ..config.clone()
+        });
         for (p, s) in rows.iter().zip(&serial) {
             assert_eq!(p, s);
         }

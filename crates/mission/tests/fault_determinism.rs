@@ -13,6 +13,10 @@
 //!    default configs, so this equality extends their byte-identity pin
 //!    to the faults-off code path.
 //!
+//! 3. **Both drivers inject sensing faults the same way**: a foggy plan
+//!    caps every decision's profiled visibility and counts as injected
+//!    on the node pipeline as well as on the direct runner.
+//!
 //! Missions here are deliberately short (60 m, capped decisions) so the
 //! property runs stay fast; the fault sweep's golden fixture covers the
 //! full-length campaigns.
@@ -134,5 +138,37 @@ proptest! {
             &run_pipeline(&healthy, &env),
             "healthy-plan / NodePipeline",
         );
+    }
+}
+
+/// Fog travels through the one fault plan to both drivers: every
+/// decision's profiled visibility respects the cap, and the channel is
+/// counted in `faults_injected`. A driver that skipped the plan's sensor
+/// channels would fly foggy missions at clear-weather visibility. The
+/// 1.5 m cap sits under the profilers' 2 m visibility floor, so only the
+/// profiling stage's cap can hold it.
+#[test]
+fn fog_caps_visibility_on_both_drivers() {
+    let env = short_environment(21);
+    for cap in [12.0, 1.5] {
+        let cfg = short_config(21, FaultPlanConfig::fog(cap));
+        for (driver, result) in [
+            ("MissionRunner", run_direct(&cfg, &env)),
+            ("NodePipeline", run_pipeline(&cfg, &env)),
+        ] {
+            let records = result.telemetry.records();
+            assert!(!records.is_empty(), "{driver}: no decisions");
+            for r in records {
+                assert!(
+                    r.visibility <= cap,
+                    "{driver}: visibility {} above the {cap} m fog cap",
+                    r.visibility
+                );
+            }
+            assert!(
+                result.metrics.faults_injected > 0,
+                "{driver}: fog was not counted as injected"
+            );
+        }
     }
 }

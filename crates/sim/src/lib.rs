@@ -26,6 +26,11 @@
 //!   at paper-scale latencies.
 //! * [`SimClock`] — mission wall-clock bookkeeping.
 //!
+//! Sensing faults (fog, lost sweeps, point dropout, range noise) are not
+//! modelled here: they are channels of the seed-pure fault plan in
+//! `roborun-faults`, applied to each captured sweep by both mission
+//! drivers.
+//!
 //! # Example
 //!
 //! ```
@@ -48,7 +53,6 @@ pub mod clock;
 pub mod cpu;
 pub mod drone;
 pub mod energy;
-pub mod faults;
 pub mod latency;
 pub mod stopping;
 
@@ -57,6 +61,5 @@ pub use clock::SimClock;
 pub use cpu::{CpuModel, CpuSample};
 pub use drone::{DroneConfig, DroneState};
 pub use energy::EnergyModel;
-pub use faults::{FaultConfig, FaultInjector, FaultStats};
 pub use latency::{ComputeLatencyModel, LatencyBreakdown, PipelineStage, StageCoefficients};
 pub use stopping::StoppingModel;

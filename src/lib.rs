@@ -65,6 +65,7 @@ pub mod prelude {
     };
     pub use roborun_dynamics::{Actor, DynamicWorld, MotionModel};
     pub use roborun_env::{DifficultyConfig, Environment, EnvironmentGenerator, Zone};
+    pub use roborun_faults::FaultPlanConfig;
     pub use roborun_geom::{Aabb, Vec3};
     pub use roborun_middleware::{
         CommLatencyModel, Executor, GraphInfo, MessageBus, Node, QosProfile,
@@ -75,7 +76,5 @@ pub mod prelude {
         MissionResult, MissionRunner, NodePipeline, NodePipelineConfig, NodePipelineResult,
         Scenario, SweepConfig, SweepResults,
     };
-    pub use roborun_sim::{
-        ComputeLatencyModel, DroneConfig, EnergyModel, FaultConfig, StoppingModel,
-    };
+    pub use roborun_sim::{ComputeLatencyModel, DroneConfig, EnergyModel, StoppingModel};
 }

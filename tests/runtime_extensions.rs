@@ -84,7 +84,7 @@ fn ablation_fault_injection_and_safety_audit_compose() {
     // Full RoboRun, but with the volume knobs frozen and mild sensor flakiness.
     let config = MissionConfig {
         ablation: KnobAblation::volume_frozen(),
-        faults: FaultConfig::flaky_sensors(0.05, 0.2),
+        fault_plan: FaultPlanConfig::flaky_sensors(0.05, 0.2),
         max_decisions: 1_200,
         max_mission_time: 3_000.0,
         ..MissionConfig::new(RuntimeMode::SpatialAware)
