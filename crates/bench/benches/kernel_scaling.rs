@@ -176,7 +176,7 @@ fn bench_collision_patch_vs_rebuild(c: &mut Criterion) {
 /// independently, or survey once and hand each mission an `Arc`-shared
 /// clone. The clone is a copy-on-write handle — `update_map` detaches —
 /// so per-mission cost drops from a full broad-phase build to a
-/// shallow copy (the `bench7` experiment reports the wall-clock ratio).
+/// shallow copy.
 fn bench_shared_world_amortization(c: &mut Criterion) {
     use roborun_mission::SharedStaticWorld;
     let env = EnvironmentGenerator::new(DifficultyConfig {
@@ -1045,9 +1045,10 @@ fn bench_predicted_costmap(c: &mut Criterion) {
 
 /// The sampling mix on the lane-heavy predicted-costmap fixture at an
 /// identical 2000-sample budget: uniform vs hazard-biased proposals.
-/// The mix's headline win is samples-to-solution (bench8 records the
-/// ladder); this entry tracks the per-sample overhead of the region
-/// draws so the proposal machinery itself stays cheap.
+/// The mix's headline win is samples-to-solution (the planning test
+/// `biased_sampling_cuts_samples_to_solution_on_the_lane_fixture` locks
+/// it); this entry tracks the per-sample overhead of the region draws so
+/// the proposal machinery itself stays cheap.
 fn bench_rrtstar_sampling_mix(c: &mut Criterion) {
     use roborun_planning::{HazardContext, PredictedHazards, SamplingMix};
     let map = {
@@ -1167,14 +1168,16 @@ fn bench_aabb_dispatch_width(c: &mut Criterion) {
 }
 
 /// Peer-corridor point queries at K committed peers (64-waypoint
-/// corridors each): the BENCH_7 scaling row that motivated the
-/// candidate grid. Grid-backed, the cost per query is set by cell
-/// occupancy, not the flat box count — the K rows sit on top of each
-/// other instead of scaling linearly.
+/// corridors each): the scaling row that motivated the candidate grid.
+/// Grid-backed, the cost per query is set by cell occupancy, not the
+/// flat box count — the K rows sit on top of each other instead of
+/// scaling linearly. The host-independent form of this claim (exact box
+/// tests per query) is pinned by the `hazard` unit tests in
+/// `roborun-planning`.
 fn bench_peer_hazard_point_queries(c: &mut Criterion) {
     use roborun_planning::PeerTrajectoryHazard;
     let mut group = c.benchmark_group("peer_hazard_point_queries");
-    for &peers in &[1usize, 4, 8] {
+    for &peers in &[1usize, 2, 4, 8] {
         let mut hazard = PeerTrajectoryHazard::new(0.46, 0.9);
         for id in 0..peers {
             let polyline: Vec<Vec3> = (0..64)

@@ -13,8 +13,8 @@
 //!
 //! Each experiment prints either an aligned table (for bar-chart figures
 //! like Fig. 7) or a CSV series (for curve figures like Fig. 2/5/10/11)
-//! that can be plotted with any external tool. EXPERIMENTS.md records the
-//! mapping to the paper's figures and the measured outcomes.
+//! that can be plotted with any external tool. An unknown experiment name
+//! prints the known ones and exits with code 2.
 
 use roborun_core::latency_model::LatencySample;
 use roborun_core::{
@@ -27,6 +27,31 @@ use roborun_mission::sweep::{run_sweep, SweepConfig};
 use roborun_mission::{MissionConfig, MissionResult, MissionRunner, Scenario};
 use roborun_sim::{ComputeLatencyModel, PipelineStage, StoppingModel};
 
+/// Every experiment `main` runs, in run order; `all` (or no name) runs
+/// them all.
+const EXPERIMENTS: &[&str] = &[
+    "table2",
+    "table1",
+    "fit",
+    "fig2a",
+    "fig2b",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig7",
+    "fig8",
+    "ablation",
+    "ablation_knobs",
+    "cotask",
+    "node_graph",
+    "faults",
+    "fault_sweep",
+    "trace",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
@@ -35,6 +60,19 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .cloned()
         .collect();
+    let unknown: Vec<&str> = selected
+        .iter()
+        .map(String::as_str)
+        .filter(|a| *a != "all" && !EXPERIMENTS.contains(a))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!(
+            "unknown experiment(s): {}\nknown: all, {}",
+            unknown.join(", "),
+            EXPERIMENTS.join(", ")
+        );
+        std::process::exit(2);
+    }
     let run_all = selected.is_empty() || selected.iter().any(|a| a == "all");
     let want = |name: &str| run_all || selected.iter().any(|a| a == name);
 
@@ -111,572 +149,9 @@ fn main() {
     if want("fault_sweep") {
         fault_sweep();
     }
-    if want("bench7") {
-        bench7();
-    }
-    if want("bench8") {
-        bench8();
-    }
     if want("trace") {
         trace_export(full);
     }
-    if want("bench9") {
-        bench9();
-    }
-    if want("bench10") {
-        bench10();
-    }
-    if want("trajectory") {
-        trajectory();
-    }
-}
-
-/// Raw-speed kernel campaign: hazard-biased RRT* sampling vs uniform on
-/// the lane-heavy one-shot fixture, batched arena expansion at 4k/16k
-/// samples, 4-wide vs 8-wide AABB broad-phase dispatch, the gridded
-/// peer-query rerun, and a multicore mode (`ROBORUN_BENCH_THREADS`) for
-/// the sweep / plan-ahead / mission-service rows. Emits `BENCH_8.json`.
-fn bench8() {
-    use roborun_env::{Obstacle, ObstacleField};
-    use roborun_geom::{Aabb, Ray, SimdWidth, SplitMix64, Vec3};
-    use roborun_mission::{MissionService, ServiceConfig};
-    use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
-    use roborun_planning::{
-        CollisionChecker, HazardContext, PredictedHazards, RrtConfig, RrtStar, SamplingMix,
-    };
-    use std::time::Instant;
-
-    println!("## Bench 8 — raw-speed kernels: biased sampling, batch expansion, 8-wide AABB\n");
-
-    let cores = roborun_trace::host_cores();
-    // The multicore bench mode: ROBORUN_BENCH_THREADS pins the worker
-    // count of every threaded row below; unset picks the machine width.
-    let bench_threads: Option<usize> = std::env::var("ROBORUN_BENCH_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok());
-    let threads = bench_threads.unwrap_or(cores);
-    println!(
-        "(host has {cores} core(s); thread mode: {})\n",
-        bench_threads.map_or("auto".to_string(), |t| format!("pinned to {t}"))
-    );
-
-    // --- Hazard-biased sampling on the lane-heavy one-shot fixture ----
-    // The predicted_costmap fixture: a wall at x = 20 with one gap at
-    // y in [4, 9], and a predicted lane past it blocking the straight
-    // exit. Gap regions derived from the lane guide proposals into the
-    // southern dip the detour needs.
-    let map = {
-        let mut map = OccupancyMap::new(0.5);
-        let origin = Vec3::new(0.0, 0.0, 5.0);
-        let mut points = Vec::new();
-        for yi in -60..=60 {
-            let y = yi as f64 * 0.5;
-            if (4.0..=9.0).contains(&y) {
-                continue;
-            }
-            for zi in 0..24 {
-                points.push(Vec3::new(20.0, y, zi as f64 * 0.5));
-            }
-        }
-        map.integrate_cloud(&PointCloud::new(origin, points), 1.0);
-        PlannerMap::export(&map, &ExportConfig::new(0.5, 1e9, origin))
-    };
-    let lanes = vec![Aabb::new(
-        Vec3::new(26.0, 2.0, 0.0),
-        Vec3::new(29.0, 25.0, 12.0),
-    )];
-    let start = Vec3::new(0.0, 0.0, 5.0);
-    let goal = Vec3::new(40.0, 0.0, 5.0);
-    let bounds = Aabb::new(Vec3::new(-5.0, -25.0, 1.0), Vec3::new(45.0, 25.0, 12.0));
-    let clearance = 0.45 * 0.6;
-    let mixes = [
-        ("uniform", SamplingMix::default()),
-        (
-            "biased",
-            SamplingMix {
-                enabled: true,
-                ..SamplingMix::default()
-            },
-        ),
-    ];
-    let run_plan = |seed: u64, mix: SamplingMix, max_samples: usize| {
-        let planner = RrtStar::new(RrtConfig {
-            seed,
-            max_samples,
-            sampling_mix: mix,
-            ..RrtConfig::default()
-        });
-        let hazards = PredictedHazards::new(lanes.clone(), clearance, start, 1e9);
-        let mut checker = CollisionChecker::new(map.clone(), 0.45, 0.3);
-        let mut ctx = HazardContext::new(&mut checker, &hazards);
-        planner.plan(&mut ctx, start, goal, &bounds)
-    };
-    // Samples to first solution: the search never stops early, so the
-    // metric is the smallest max_samples rung that yields a path.
-    let ladder = [25usize, 50, 100, 200, 400, 800, 1600, 3200, 6400];
-    let seeds = 8u64;
-    let mut sampling_rows = Vec::new();
-    for (label, mix) in mixes {
-        let mut to_solution = 0usize;
-        for seed in 0..seeds {
-            to_solution += ladder
-                .iter()
-                .copied()
-                .find(|&n| run_plan(seed, mix, n).found())
-                .unwrap_or(*ladder.last().unwrap());
-        }
-        let wall = Instant::now();
-        let mut cost = 0.0;
-        for seed in 0..seeds {
-            cost += run_plan(seed, mix, 2_000).cost;
-        }
-        let ms = wall.elapsed().as_secs_f64() * 1e3 / seeds as f64;
-        let mean_to_solution = to_solution as f64 / seeds as f64;
-        let mean_cost = cost / seeds as f64;
-        println!(
-            "sampling  {label:<8} {mean_to_solution:>6.0} samples to solution  \
-             {ms:>7.2} ms/plan @2000  mean cost {mean_cost:.2} m"
-        );
-        sampling_rows.push((label, mean_to_solution, ms, mean_cost));
-    }
-    let sample_reduction = sampling_rows[0].1 / sampling_rows[1].1;
-    let cost_ratio = sampling_rows[1].3 / sampling_rows[0].3;
-    println!(
-        "sampling  biased draws {sample_reduction:.1}x fewer samples to solution \
-         (cost ratio {cost_ratio:.3})\n"
-    );
-
-    // --- Batched arena expansion at 4k / 16k samples ------------------
-    // The long-corridor gap-wall search of the kernel-scaling benches;
-    // batch K pre-draws K targets per spatial-index flush. Results are
-    // exact-identical at every K (asserted here, proven in the planning
-    // tests); the win is locality and flush amortization.
-    let long_map = {
-        let mut map = OccupancyMap::new(0.5);
-        let origin = Vec3::new(0.0, 0.0, 5.0);
-        let mut points = Vec::new();
-        for yi in -120..=120 {
-            let y = yi as f64 * 0.5;
-            if (6.0..=10.0).contains(&y) {
-                continue;
-            }
-            for zi in 0..30 {
-                points.push(Vec3::new(20.0, y, zi as f64 * 0.5));
-            }
-        }
-        map.integrate_cloud(&PointCloud::new(origin, points), 1.0);
-        PlannerMap::export(&map, &ExportConfig::new(0.5, 1e9, origin))
-    };
-    let long_goal = Vec3::new(140.0, 0.0, 5.0);
-    let long_bounds = Aabb::new(Vec3::new(-5.0, -75.0, 1.0), Vec3::new(155.0, 75.0, 28.0));
-    let mut checker = CollisionChecker::new(long_map, 0.45, 0.5);
-    let mut batch_rows = Vec::new();
-    for &samples in &[4_000usize, 16_000] {
-        let mut row = Vec::new();
-        let mut reference = None;
-        for &batch in &[1usize, 64] {
-            let planner = RrtStar::new(RrtConfig {
-                seed: 3,
-                max_samples: samples,
-                batch_size: batch,
-                ..RrtConfig::default()
-            });
-            let wall = Instant::now();
-            let result = planner.plan(&mut checker, start, long_goal, &long_bounds);
-            let ms = wall.elapsed().as_secs_f64() * 1e3;
-            match &reference {
-                None => reference = Some(result),
-                Some(r) => assert_eq!(r, &result, "batch {batch} diverged at {samples} samples"),
-            }
-            println!("batch     {samples:>6} samples  K={batch:<3} {ms:>8.1} ms");
-            row.push((batch, ms));
-        }
-        batch_rows.push((samples, row));
-    }
-    println!();
-
-    // --- 4-wide vs 8-wide AABB broad-phase dispatch -------------------
-    // Same world, same rays, both forced widths: identical hits (width
-    // changes throughput, never results), throughput recorded per ray.
-    let obstacles: Vec<Obstacle> = {
-        let mut rng = SplitMix64::new(10_000);
-        (0..10_000u32)
-            .map(|id| {
-                let center = Vec3::new(
-                    rng.uniform(5.0, 185.0),
-                    rng.uniform(-90.0, 90.0),
-                    rng.uniform(0.0, 12.0),
-                );
-                let half = Vec3::new(
-                    rng.uniform(0.4, 2.0),
-                    rng.uniform(0.4, 2.0),
-                    rng.uniform(0.4, 3.0),
-                );
-                Obstacle::new(id, Aabb::from_center_half_extents(center, half))
-            })
-            .collect()
-    };
-    let rays: Vec<Ray> = {
-        let mut rng = SplitMix64::new(99);
-        (0..512)
-            .map(|_| {
-                let origin = Vec3::new(0.0, rng.uniform(-10.0, 10.0), rng.uniform(2.0, 8.0));
-                let yaw = rng.uniform(-0.9, 0.9);
-                let pitch = rng.uniform(-0.3, 0.3);
-                Ray::new(origin, Vec3::new(yaw.cos(), yaw.sin(), pitch.sin()))
-            })
-            .collect()
-    };
-    let mut width_rows = Vec::new();
-    let mut checksums = Vec::new();
-    for width in [SimdWidth::W4, SimdWidth::W8] {
-        let field = ObstacleField::with_simd_width(obstacles.clone(), width);
-        let rounds = 40usize;
-        let wall = Instant::now();
-        let mut checksum = 0.0f64;
-        for _ in 0..rounds {
-            for ray in &rays {
-                if let Some(hit) = field.raycast(ray, 120.0) {
-                    checksum += hit.distance;
-                }
-            }
-        }
-        let ns_per_ray = wall.elapsed().as_secs_f64() * 1e9 / (rounds * rays.len()) as f64;
-        println!(
-            "raycast   {} lanes  {ns_per_ray:>7.0} ns/ray over {} obstacles",
-            width.lanes(),
-            obstacles.len()
-        );
-        width_rows.push((width.lanes(), ns_per_ray));
-        checksums.push(checksum.to_bits());
-    }
-    assert_eq!(checksums[0], checksums[1], "W4 and W8 raycasts diverged");
-    println!();
-
-    // --- Peer-hazard query scaling rerun (now grid-backed) ------------
-    // The BENCH_7 scaling row that motivated the candidate grid: point
-    // queries against K committed peer corridors. With >= 16 flat boxes
-    // the grid makes the probe a hash lookup plus a few exact tests.
-    let peer_rows = peer_hazard_query_rows();
-    for (peers, boxes, ns_per_query, blocked) in &peer_rows {
-        println!(
-            "peer grid K={peers}  {boxes} boxes  {ns_per_query:.0} ns/query  ({blocked} blocked)"
-        );
-    }
-    println!();
-
-    // --- Multicore mode: sweep, plan-ahead, mission service -----------
-    // All three threaded rows honour the pinned width. The plan-ahead
-    // row keeps the modeled masked-latency accounting: wall-clock
-    // parallelism changes throughput, never the simulated clock.
-    let mut sweep_request = SweepConfig::quick(41);
-    sweep_request.threads = Some(threads);
-    sweep_request.difficulties.truncate(4);
-    let wall = Instant::now();
-    let sweep_rows = run_sweep(&sweep_request).rows().len();
-    let sweep_seconds = wall.elapsed().as_secs_f64();
-    println!("multicore sweep    threads={threads}  {sweep_rows} rows in {sweep_seconds:.2} s");
-
-    let plan_ahead_cfg = MissionConfig {
-        max_decisions: 600,
-        max_mission_time: 1_500.0,
-        plan_ahead: true,
-        ..MissionConfig::new(RuntimeMode::SpatialAware)
-    };
-    let env = EnvironmentGenerator::new(DifficultyConfig {
-        obstacle_density: 0.35,
-        obstacle_spread: 40.0,
-        goal_distance: 120.0,
-    })
-    .generate(21);
-    let wall = Instant::now();
-    let result = MissionRunner::new(plan_ahead_cfg).run(&env);
-    let plan_ahead_seconds = wall.elapsed().as_secs_f64();
-    let masked = result.metrics.masked_planning_latency;
-    println!(
-        "multicore plan-ahead  {plan_ahead_seconds:.2} s wall, masked {masked:.3} s modeled \
-         over {} decisions",
-        result.metrics.decisions
-    );
-
-    let mut service_request = SweepConfig::quick(41);
-    service_request.difficulties.truncate(4);
-    let service_missions = 2 * service_request.difficulties.len();
-    let shards = threads.max(1);
-    let service = MissionService::start(ServiceConfig { shards });
-    let wall = Instant::now();
-    let id = service.submit(service_request).expect("valid request");
-    let rows = service.collect(id);
-    let service_seconds = wall.elapsed().as_secs_f64();
-    service.shutdown();
-    assert_eq!(rows.rows().len(), 4);
-    println!(
-        "multicore service  shards={shards}  {service_missions} missions in {service_seconds:.2} s\n"
-    );
-
-    // Machine-readable trajectory for CI and the roadmap.
-    let mut w = roborun_trace::JsonWriter::new();
-    w.begin_object();
-    w.key("bench");
-    w.string("raw_speed_kernels");
-    w.key("host_cores");
-    w.uint(cores as u64);
-    w.key("bench_threads");
-    match bench_threads {
-        Some(t) => w.uint(t as u64),
-        None => w.null(),
-    }
-    w.key("biased_sampling");
-    w.begin_object();
-    for (label, to_solution, ms, cost) in &sampling_rows {
-        w.key(label);
-        w.begin_inline_object();
-        w.key("samples_to_solution");
-        w.float(*to_solution, 1);
-        w.key("ms_per_plan_2000");
-        w.float(*ms, 3);
-        w.key("mean_cost_m");
-        w.float(*cost, 3);
-        w.end();
-    }
-    w.key("sample_reduction");
-    w.float(sample_reduction, 2);
-    w.key("cost_ratio");
-    w.float(cost_ratio, 4);
-    w.end();
-    w.key("batch_expansion");
-    w.begin_array();
-    for (samples, row) in &batch_rows {
-        w.begin_inline_object();
-        w.key("samples");
-        w.uint(*samples as u64);
-        for (batch, ms) in row {
-            w.key(&format!("k{batch}_ms"));
-            w.float(*ms, 2);
-        }
-        w.end();
-    }
-    w.end();
-    w.key("aabb_raycast");
-    w.begin_array();
-    for (lanes, ns) in &width_rows {
-        w.begin_inline_object();
-        w.key("lanes");
-        w.uint(*lanes as u64);
-        w.key("ns_per_ray");
-        w.float(*ns, 1);
-        w.end();
-    }
-    w.end();
-    write_peer_hazard_rows(&mut w, &peer_rows);
-    w.key("multicore");
-    w.begin_inline_object();
-    w.key("threads");
-    w.uint(threads as u64);
-    w.key("sweep_seconds");
-    w.float(sweep_seconds, 3);
-    w.key("plan_ahead_wall_seconds");
-    w.float(plan_ahead_seconds, 3);
-    w.key("plan_ahead_masked_modeled_s");
-    w.float(masked, 3);
-    w.key("service_shards");
-    w.uint(shards as u64);
-    w.key("service_seconds");
-    w.float(service_seconds, 3);
-    w.end();
-    w.end();
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_8.json");
-    std::fs::write(path, w.finish()).expect("write BENCH_8.json");
-    println!("wrote {path}\n");
-}
-
-/// Fleet-mission performance trajectory: mission-service throughput
-/// versus shard count, shared-broad-phase amortization, and peer-hazard
-/// query overhead. Emits machine-readable `BENCH_7.json` at the repo
-/// root alongside the human-readable table.
-fn bench7() {
-    use roborun_mission::{MissionService, ServiceConfig, SharedStaticWorld};
-    use std::time::Instant;
-
-    println!("## Bench 7 — fleet missions, mission service, shared worlds\n");
-
-    // Shard scaling is bounded by the physical core count; record it so
-    // a flat curve on a small box reads as what it is.
-    let cores = roborun_trace::host_cores();
-    println!("(host has {cores} core(s) available)\n");
-
-    // Mission-service throughput: the same 8-row request (2 missions per
-    // row) collected through 1, 2 and 4 shards. Rows are kept comparable
-    // in cost (moderate densities, short goals) so the shard scaling is
-    // visible instead of being hidden behind one dominant row.
-    let mut request = SweepConfig::quick(41);
-    request.difficulties.clear();
-    for &density in &[0.25, 0.35] {
-        for &spread in &[40.0, 60.0] {
-            for &goal in &[80.0, 110.0] {
-                request.difficulties.push(DifficultyConfig {
-                    obstacle_density: density,
-                    obstacle_spread: spread,
-                    goal_distance: goal,
-                });
-            }
-        }
-    }
-    let missions = 2 * request.difficulties.len();
-    let mut service_rows = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let service = MissionService::start(ServiceConfig { shards });
-        let start = Instant::now();
-        let id = service.submit(request.clone()).expect("valid request");
-        let results = service.collect(id);
-        let seconds = start.elapsed().as_secs_f64();
-        service.shutdown();
-        assert_eq!(results.rows().len(), request.difficulties.len());
-        let throughput = missions as f64 / seconds;
-        println!("service  shards={shards}  {missions} missions in {seconds:.2} s  ({throughput:.2} missions/s)");
-        service_rows.push((shards, seconds, throughput));
-    }
-
-    // Shared-broad-phase amortization: survey a world once and clone the
-    // checker per mission, versus rebuilding the survey every time.
-    let env = EnvironmentGenerator::new(DifficultyConfig {
-        obstacle_density: 0.3,
-        obstacle_spread: 40.0,
-        goal_distance: 100.0,
-    })
-    .generate(41);
-    let clones = 16usize;
-    let start = Instant::now();
-    let world = SharedStaticWorld::survey(&env, 1.0, 0.6);
-    let build_ms = start.elapsed().as_secs_f64() * 1e3;
-    let start = Instant::now();
-    let mut shared = Vec::with_capacity(clones);
-    for _ in 0..clones {
-        shared.push(world.checker());
-    }
-    let clone_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert!(shared.iter().all(|c| world.shares_broad_phase_with(c)));
-    let start = Instant::now();
-    for _ in 0..clones {
-        let _ = SharedStaticWorld::survey(&env, 1.0, 0.6);
-    }
-    let rebuild_ms = start.elapsed().as_secs_f64() * 1e3;
-    let amortized_speedup = rebuild_ms / (build_ms + clone_ms);
-    println!(
-        "\nbroad phase  build {build_ms:.1} ms + {clones} clones {clone_ms:.3} ms  \
-         vs {clones} rebuilds {rebuild_ms:.1} ms  (speedup {amortized_speedup:.1}x)"
-    );
-
-    // Peer-hazard query overhead: point queries against K committed peer
-    // corridors (64-waypoint trajectories, swept and inflated).
-    let peer_rows = peer_hazard_query_rows();
-    for (peers, boxes, ns_per_query, blocked) in &peer_rows {
-        println!(
-            "peer hazard  K={peers}  {boxes} boxes  {ns_per_query:.0} ns/query  ({blocked} blocked)"
-        );
-    }
-
-    // Machine-readable trajectory for CI and the roadmap.
-    let mut w = roborun_trace::JsonWriter::new();
-    w.begin_object();
-    w.key("bench");
-    w.string("fleet_missions");
-    w.key("host_cores");
-    w.uint(cores as u64);
-    w.key("service_throughput");
-    w.begin_array();
-    for (shards, seconds, throughput) in &service_rows {
-        w.begin_inline_object();
-        w.key("shards");
-        w.uint(*shards as u64);
-        w.key("missions");
-        w.uint(missions as u64);
-        w.key("seconds");
-        w.float(*seconds, 3);
-        w.key("missions_per_sec");
-        w.float(*throughput, 3);
-        w.end();
-    }
-    w.end();
-    w.key("shared_broad_phase");
-    w.begin_inline_object();
-    w.key("clones");
-    w.uint(clones as u64);
-    w.key("survey_build_ms");
-    w.float(build_ms, 3);
-    w.key("clone_total_ms");
-    w.float(clone_ms, 4);
-    w.key("rebuild_total_ms");
-    w.float(rebuild_ms, 3);
-    w.key("amortized_speedup");
-    w.float(amortized_speedup, 2);
-    w.end();
-    write_peer_hazard_rows(&mut w, &peer_rows);
-    w.end();
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_7.json");
-    std::fs::write(path, w.finish()).expect("write BENCH_7.json");
-    println!("\nwrote {path}\n");
-}
-
-/// The peer-hazard scaling row shared by the BENCH_7/8/9 trajectories:
-/// point queries against K committed peer corridors (64-waypoint
-/// trajectories, swept and inflated). Returns
-/// `(peers, boxes, ns_per_query, blocked)` rows.
-fn peer_hazard_query_rows() -> Vec<(usize, usize, f64, usize)> {
-    use roborun_geom::Vec3;
-    use roborun_planning::PeerTrajectoryHazard;
-    use std::time::Instant;
-    let queries = 100_000usize;
-    let mut rows = Vec::new();
-    for peers in [1usize, 2, 4, 8] {
-        let mut hazard = PeerTrajectoryHazard::new(0.46, 0.9);
-        for id in 0..peers {
-            let polyline: Vec<Vec3> = (0..64)
-                .map(|i| {
-                    let t = i as f64 * 2.0;
-                    Vec3::new(
-                        t,
-                        (id as f64) * 12.0 + (t * 0.1).sin() * 4.0,
-                        5.0 + t * 0.05,
-                    )
-                })
-                .collect();
-            hazard.set_peer(id as u64, &polyline);
-        }
-        let boxes = hazard.boxes().len();
-        let start = Instant::now();
-        let mut blocked = 0usize;
-        for q in 0..queries {
-            let t = (q % 997) as f64 * 0.13;
-            let p = Vec3::new(t, (t * 0.37).sin() * 20.0, 5.0 + (t * 0.11).cos() * 3.0);
-            if hazard.point_blocked(p) {
-                blocked += 1;
-            }
-        }
-        let ns_per_query = start.elapsed().as_secs_f64() * 1e9 / queries as f64;
-        rows.push((peers, boxes, ns_per_query, blocked));
-    }
-    rows
-}
-
-/// Writes the shared `peer_hazard_query` BENCH section (the trajectory
-/// diff keys the three files on it).
-fn write_peer_hazard_rows(w: &mut roborun_trace::JsonWriter, rows: &[(usize, usize, f64, usize)]) {
-    w.key("peer_hazard_query");
-    w.begin_array();
-    for (peers, boxes, ns, _) in rows {
-        w.begin_inline_object();
-        w.key("peers");
-        w.uint(*peers as u64);
-        w.key("boxes");
-        w.uint(*boxes as u64);
-        w.key("ns_per_query");
-        w.float(*ns, 1);
-        w.end();
-    }
-    w.end();
 }
 
 /// Chrome-trace export: arms the tracer, runs one representative static,
@@ -755,368 +230,6 @@ fn trace_export(full: bool) {
         config.fault_plan = scenario.fault_plan(41);
         MissionRunner::new(config).run(&env)
     });
-}
-
-/// Trace-layer cost trajectory: the disarmed gate and armed emission in
-/// nanoseconds per call, whole-mission overhead armed versus disarmed
-/// (with a metrics-equality check that tracing perturbed nothing), the
-/// shared log-histogram's quantile accuracy against exact percentiles,
-/// and the peer-hazard scaling row shared with BENCH_7/8. Emits
-/// `BENCH_9.json`.
-fn bench9() {
-    use roborun_geom::{percentile, LogHistogram, SplitMix64};
-    use roborun_trace::SpanKind;
-    use std::hint::black_box;
-    use std::time::Instant;
-
-    println!("## Bench 9 — trace overhead and histogram accuracy\n");
-    let cores = roborun_trace::host_cores();
-    println!("(host has {cores} core(s) available)\n");
-
-    // --- The disarmed gate: the entire cost tracing adds to a normal
-    // (untraced) run is one relaxed load and branch per call site.
-    let _ = roborun_trace::drain();
-    roborun_trace::disarm();
-    let rounds = 20_000_000u64;
-    let wall = Instant::now();
-    for i in 0..rounds {
-        roborun_trace::collector::complete(
-            black_box(SpanKind::Decision),
-            black_box(i as f64),
-            0.001,
-            0,
-            &[],
-        );
-    }
-    let disarmed_ns = wall.elapsed().as_secs_f64() * 1e9 / rounds as f64;
-
-    // --- Armed emission: thread-local ring push + amortised spill.
-    roborun_trace::arm();
-    let armed_rounds = 400_000u64;
-    let wall = Instant::now();
-    for i in 0..armed_rounds {
-        roborun_trace::collector::complete(
-            black_box(SpanKind::Decision),
-            black_box(i as f64),
-            0.001,
-            0,
-            &[("decision", i as f64)],
-        );
-    }
-    let armed_ns = wall.elapsed().as_secs_f64() * 1e9 / armed_rounds as f64;
-    roborun_trace::disarm();
-    let dropped = roborun_trace::dropped();
-    let retained = roborun_trace::drain().len();
-    println!(
-        "gate      disarmed {disarmed_ns:.2} ns/call   armed {armed_ns:.0} ns/event  \
-         ({retained} retained, {dropped} dropped)"
-    );
-
-    // --- Whole-mission overhead: the same mission disarmed then armed.
-    // Metrics equality doubles as the "enabled tracing perturbs nothing"
-    // check at bench time.
-    let env = EnvironmentGenerator::new(DifficultyConfig {
-        goal_distance: 120.0,
-        ..DifficultyConfig::mid()
-    })
-    .generate(23);
-    let mission = || {
-        MissionRunner::new(MissionConfig {
-            max_decisions: 600,
-            max_mission_time: 1_500.0,
-            ..MissionConfig::new(RuntimeMode::SpatialAware)
-        })
-        .run(&env)
-    };
-    let _ = mission(); // warm caches before timing either mode
-    let wall = Instant::now();
-    let disarmed_result = mission();
-    let disarmed_s = wall.elapsed().as_secs_f64();
-    roborun_trace::arm();
-    let wall = Instant::now();
-    let armed_result = mission();
-    let armed_s = wall.elapsed().as_secs_f64();
-    roborun_trace::disarm();
-    let mission_events = roborun_trace::drain().len();
-    assert_eq!(
-        disarmed_result.metrics, armed_result.metrics,
-        "tracing perturbed the mission"
-    );
-    let overhead_pct = (armed_s / disarmed_s.max(1e-12) - 1.0) * 100.0;
-    println!(
-        "mission   disarmed {disarmed_s:.3} s   armed {armed_s:.3} s  \
-         ({overhead_pct:+.1}%, {mission_events} events, identical metrics)"
-    );
-
-    // --- Histogram accuracy: a log-uniform latency-like sample spanning
-    // four decades, histogram quantiles against exact percentiles.
-    let mut rng = SplitMix64::new(7);
-    let samples: Vec<f64> = (0..100_000)
-        .map(|_| rng.uniform((1e-3f64).ln(), 10f64.ln()).exp())
-        .collect();
-    let hist: LogHistogram = samples.iter().copied().collect();
-    let mut accuracy = Vec::new();
-    for q in [0.5, 0.95, 0.99] {
-        let exact = percentile(&samples, q).expect("non-empty sample");
-        let approx = hist.quantile(q).expect("non-empty histogram");
-        let rel_err = (approx - exact).abs() / exact;
-        println!(
-            "histogram p{:<4} exact {exact:.5} s   histogram {approx:.5} s   rel err {rel_err:.4}",
-            q * 100.0
-        );
-        accuracy.push((q, exact, approx, rel_err));
-    }
-    println!();
-
-    // --- The shared scaling row for the BENCH trajectory diff.
-    let peer_rows = peer_hazard_query_rows();
-    for (peers, boxes, ns_per_query, blocked) in &peer_rows {
-        println!(
-            "peer hazard  K={peers}  {boxes} boxes  {ns_per_query:.0} ns/query  ({blocked} blocked)"
-        );
-    }
-
-    // Machine-readable trajectory for CI and the roadmap.
-    let mut w = roborun_trace::JsonWriter::new();
-    w.begin_object();
-    w.key("bench");
-    w.string("trace_observability");
-    w.key("host_cores");
-    w.uint(cores as u64);
-    w.key("trace_gate");
-    w.begin_inline_object();
-    w.key("disarmed_ns_per_call");
-    w.float(disarmed_ns, 3);
-    w.key("armed_ns_per_event");
-    w.float(armed_ns, 1);
-    w.key("events_retained");
-    w.uint(retained as u64);
-    w.key("events_dropped");
-    w.uint(dropped);
-    w.end();
-    w.key("mission_overhead");
-    w.begin_inline_object();
-    w.key("disarmed_seconds");
-    w.float(disarmed_s, 3);
-    w.key("armed_seconds");
-    w.float(armed_s, 3);
-    w.key("overhead_pct");
-    w.float(overhead_pct, 2);
-    w.key("events");
-    w.uint(mission_events as u64);
-    w.end();
-    w.key("histogram_accuracy");
-    w.begin_array();
-    for (q, exact, approx, rel_err) in &accuracy {
-        w.begin_inline_object();
-        w.key("q");
-        w.float(*q, 2);
-        w.key("exact_s");
-        w.float(*exact, 5);
-        w.key("histogram_s");
-        w.float(*approx, 5);
-        w.key("rel_err");
-        w.float(*rel_err, 4);
-        w.end();
-    }
-    w.end();
-    write_peer_hazard_rows(&mut w, &peer_rows);
-    w.end();
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_9.json");
-    std::fs::write(path, w.finish()).expect("write BENCH_9.json");
-    println!("\nwrote {path}\n");
-}
-
-/// Planner scratch campaign: steady-state allocation of one reused
-/// [`roborun_planning::PlannerScratch`] over repeated plans on the
-/// gap-wall fixture, plus the peer-hazard scaling row shared with
-/// BENCH_7/8/9. Emits `BENCH_10.json` under the same JSON paths as the
-/// committed record; `experiments trajectory` gates the shared
-/// `peer_hazard_query` rows.
-fn bench10() {
-    use roborun_geom::{Aabb, Vec3};
-    use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
-    use roborun_planning::{CollisionChecker, PlannerScratch, RrtConfig, RrtStar};
-
-    println!("## Bench 10 — planner scratch reuse\n");
-    let cores = roborun_trace::host_cores();
-    println!("(host has {cores} core(s) available)\n");
-
-    // The long-corridor gap-wall fixture shared with BENCH_8's batch
-    // rows: a wall at x = 20 with one gap at y in [6, 10], goal 140 m
-    // out, voxel 0.5.
-    let origin = Vec3::new(0.0, 0.0, 5.0);
-    let voxel = 0.5;
-    let mut points = Vec::new();
-    for yi in -120..=120 {
-        let y = yi as f64 * voxel;
-        if (6.0..=10.0).contains(&y) {
-            continue;
-        }
-        for zi in 0..30 {
-            points.push(Vec3::new(20.0, y, zi as f64 * voxel));
-        }
-    }
-    let mut map = OccupancyMap::new(voxel);
-    map.integrate_cloud(&PointCloud::new(origin, points), 1.0);
-    let base = PlannerMap::export(&map, &ExportConfig::new(voxel, 1e9, origin));
-    let start = Vec3::new(0.0, 0.0, 5.0);
-    let goal = Vec3::new(140.0, 0.0, 5.0);
-    let bounds = Aabb::new(Vec3::new(-5.0, -75.0, 1.0), Vec3::new(155.0, 75.0, 28.0));
-
-    // --- Scratch reuse: steady-state allocation -----------------------
-    // Repeated plans against one scratch: every buffer reaches capacity
-    // during warm-up, after which grow_events stays flat (the zero-
-    // steady-state-allocation contract the planner tests lock).
-    let mut scratch = PlannerScratch::new();
-    let mut checker = CollisionChecker::new(base, 0.45, 0.5);
-    let reps = 12u64;
-    let mut warmup_grow = 0u64;
-    for seed in 0..reps {
-        let planner = RrtStar::new(RrtConfig {
-            seed,
-            max_samples: 6_000,
-            ..RrtConfig::default()
-        });
-        let _ = planner.plan_with_scratch(&mut checker, start, goal, &bounds, &mut scratch);
-        if seed == 0 {
-            warmup_grow = scratch.grow_events();
-        }
-    }
-    let steady_grow = scratch.grow_events() - warmup_grow;
-    let footprint = scratch.footprint();
-    println!(
-        "scratch   {reps} plans: {warmup_grow} grow event(s) on the first, \
-         {steady_grow} over the remaining {}  (footprint {footprint} elems)\n",
-        reps - 1
-    );
-
-    // --- The shared scaling row for the BENCH trajectory diff ---------
-    let peer_rows = peer_hazard_query_rows();
-    for (peers, boxes, ns_per_query, blocked) in &peer_rows {
-        println!(
-            "peer hazard  K={peers}  {boxes} boxes  {ns_per_query:.0} ns/query  ({blocked} blocked)"
-        );
-    }
-
-    // Machine-readable trajectory for CI and the roadmap.
-    let mut w = roborun_trace::JsonWriter::new();
-    w.begin_object();
-    w.key("bench");
-    w.string("planner_scratch");
-    w.key("host_cores");
-    w.uint(cores as u64);
-    w.key("scratch_reuse");
-    w.begin_inline_object();
-    w.key("plans");
-    w.uint(reps);
-    w.key("warmup_grow_events");
-    w.uint(warmup_grow);
-    w.key("steady_grow_events");
-    w.uint(steady_grow);
-    w.key("footprint_elems");
-    w.uint(footprint as u64);
-    w.end();
-    write_peer_hazard_rows(&mut w, &peer_rows);
-    w.end();
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_10.json");
-    std::fs::write(path, w.finish()).expect("write BENCH_10.json");
-    println!("\nwrote {path}\n");
-}
-
-/// BENCH-trajectory diff: discovers every committed `BENCH_<n>.json`
-/// baseline at the repo root, treats the highest generation as current,
-/// and compares every shared cost key (leaves whose name carries a
-/// `ns`/`ms`/`s`/`seconds` unit segment, matched by JSON path) against
-/// each earlier baseline, failing the run on a more-than-2x regression.
-/// Throughputs and identities (`missions_per_sec`, `peers`, `host_cores`)
-/// anchor the paths but are not compared. New bench generations join the
-/// diff automatically — no per-generation edits here.
-fn trajectory() {
-    use roborun_trace::JsonValue;
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let mut generations: Vec<u64> = std::fs::read_dir(root)
-        .expect("repo root readable")
-        .filter_map(|entry| {
-            let name = entry.ok()?.file_name().into_string().ok()?;
-            let n = name.strip_prefix("BENCH_")?.strip_suffix(".json")?;
-            n.parse().ok()
-        })
-        .collect();
-    generations.sort_unstable();
-    let Some(&newest) = generations.last() else {
-        println!("no BENCH_<n>.json baseline at the repo root — run the newest bench first\n");
-        std::process::exit(1);
-    };
-    println!("## BENCH trajectory — shared cost keys, BENCH_{newest} vs every earlier baseline\n");
-    let load = |n: u64| -> JsonValue {
-        let text = std::fs::read_to_string(format!("{root}/BENCH_{n}.json"))
-            .expect("baseline listed by read_dir");
-        JsonValue::parse(&text).unwrap_or_else(|e| panic!("BENCH_{n}.json: {e}"))
-    };
-    let current_costs = cost_leaves(&load(newest));
-    let mut regressions = Vec::new();
-    for &n in generations.iter().rev().skip(1) {
-        let name = format!("BENCH_{n}.json");
-        let previous_costs = cost_leaves(&load(n));
-        let mut compared = 0usize;
-        for (path, new_value) in &current_costs {
-            let Some((_, old_value)) = previous_costs.iter().find(|(p, _)| p == path) else {
-                continue;
-            };
-            compared += 1;
-            let ratio = new_value / old_value.max(1e-12);
-            let verdict = if ratio > 2.0 { "REGRESSION" } else { "ok" };
-            println!("{name}  {path}  {old_value:.1} -> {new_value:.1}  ({ratio:.2}x)  {verdict}");
-            if ratio > 2.0 {
-                regressions.push(format!("{name} {path} {ratio:.2}x"));
-            }
-        }
-        println!("({compared} shared cost key(s) against {name})\n");
-    }
-    if !regressions.is_empty() {
-        println!("trajectory regressions (> 2x): {}", regressions.join(", "));
-        std::process::exit(1);
-    }
-    println!("no shared cost key regressed by more than 2x\n");
-}
-
-/// Flattens a parsed BENCH file into `(path, value)` cost leaves: number
-/// leaves whose key name carries a time unit as an underscore-separated
-/// segment (`ns_per_query`, `k64_ms`, `sweep_seconds`, `exact_s`), so
-/// counts like `missions` or rates like `missions_per_sec` stay out.
-fn cost_leaves(value: &roborun_trace::JsonValue) -> Vec<(String, f64)> {
-    use roborun_trace::JsonValue;
-    fn is_cost_key(key: &str) -> bool {
-        key.split('_')
-            .any(|seg| matches!(seg, "ns" | "ms" | "s" | "seconds"))
-    }
-    fn walk(value: &JsonValue, path: &str, out: &mut Vec<(String, f64)>) {
-        match value {
-            JsonValue::Object(members) => {
-                for (key, child) in members {
-                    walk(child, &format!("{path}/{key}"), out);
-                }
-            }
-            JsonValue::Array(items) => {
-                for (i, child) in items.iter().enumerate() {
-                    walk(child, &format!("{path}/{i}"), out);
-                }
-            }
-            JsonValue::Number(n) => {
-                let key = path.rsplit('/').next().unwrap_or(path);
-                if is_cost_key(key) {
-                    out.push((path.to_string(), *n));
-                }
-            }
-            _ => {}
-        }
-    }
-    let mut out = Vec::new();
-    walk(value, "", &mut out);
-    out
 }
 
 /// The robustness evaluation: every deterministic fault scenario family,
